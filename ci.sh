@@ -3,7 +3,10 @@
 #   1. formatting          (cargo fmt --check)
 #   2. lints as errors     (cargo clippy --workspace -- -D warnings)
 #   3. doc warnings as errors (RUSTDOCFLAGS="-D warnings" cargo doc --no-deps)
-#   4. tier-1 verification (cargo build --release && cargo test -q)
+#   4. tier-1 verification (cargo build --release && cargo test -q), then
+#      the benchmark smoke test (perfbench builds against the workspace
+#      crates and its smoke tests pass, so a public API change that breaks
+#      the benchmark fails here rather than in a benchmark run)
 #   5. serve smoke test    (srra serve + srra query against a live socket,
 #                           incl. one pipelined keep-alive connection and
 #                           the same ops over the binary wire codec)
@@ -46,6 +49,11 @@ cargo build --release --workspace
 
 echo "==> cargo test -q"
 cargo test --workspace -q
+
+echo "==> perfbench smoke test"
+# perfbench is a standalone package outside the workspace (see
+# perfbench/README.md), so the workspace build above never compiles it.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> serve smoke test"
 SRRA="target/release/srra"

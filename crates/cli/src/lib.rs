@@ -2108,9 +2108,22 @@ mod tests {
             full.extend_from_slice(rest);
             run(&args(&full))
         };
+        // The SLO reads the delta between two samples, so the explore must
+        // land after the sampler's first tick, and the breach shows only
+        // once a later tick has evaluated it.  Wait for both, bounded: a
+        // busy machine can take far longer than a few 10 ms ticks.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+        let wait_for = |what: &[&str], shows: &str| {
+            while std::time::Instant::now() < deadline
+                && !query(&addrs[0], what).unwrap().contains(shows)
+            {
+                std::thread::sleep(std::time::Duration::from_millis(10));
+            }
+        };
+        wait_for(&["series", "--last", "1"], "\"at_us\":");
         let explored = query(&addrs[0], &["explore", "--kernel", "fir", "--algos", "cpa"]).unwrap();
         assert!(explored.contains("\"evaluated\":1"), "{explored}");
-        std::thread::sleep(std::time::Duration::from_millis(60));
+        wait_for(&["top", "--once"], "BREACH:1");
 
         // Raw sample mode: at least two timestamped snapshots by now.
         let series = query(&addrs[0], &["series", "--last", "16"]).unwrap();

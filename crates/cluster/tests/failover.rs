@@ -1,6 +1,8 @@
-//! Failover integration tests: a replicated two-node cluster keeps answering
-//! — byte-identically — after one node is killed mid-run, and an
-//! unreplicated cluster reports unavailability instead of wrong answers.
+//! Routing and failover integration tests: racing routed clients evaluate
+//! every point exactly once across the cluster, a replicated two-node
+//! cluster keeps answering — byte-identically — after one node is killed
+//! mid-run, and an unreplicated cluster reports unavailability instead of
+//! wrong answers.
 
 use srra_cluster::{ClusterClient, ClusterConfig, ClusterError};
 use srra_serve::{Client, PointOutcome, QueryPoint, Server, ServerConfig};
@@ -59,6 +61,57 @@ fn start_nodes(
         handles.push(std::thread::spawn(move || server.run().expect("node runs")));
     }
     (addrs, handles)
+}
+
+#[test]
+fn racing_routed_clients_evaluate_each_point_once_across_the_cluster() {
+    // One client per node worker: a serve worker holds a keep-alive
+    // connection for its lifetime, so more clients would queue, not race.
+    const CLIENTS: usize = 2;
+    let dir = std::env::temp_dir().join(format!("srra-cluster-once-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (addrs, handles) = start_nodes(&dir, 2);
+    let config = ClusterConfig::new(addrs).with_timeout(Some(std::time::Duration::from_secs(60)));
+    let points = workload();
+
+    std::thread::scope(|scope| {
+        for client in 0..CLIENTS {
+            let (config, points) = (&config, &points);
+            scope.spawn(move || {
+                let mut cluster = ClusterClient::connect(config).expect("cluster connects");
+                // Rotated, so the clients start on different keys and then
+                // race for each other's misses.
+                let mut rotated = points.clone();
+                rotated.rotate_left(client * points.len() / CLIENTS);
+                let cold = cluster.explore(&rotated).expect("routed explore");
+                assert!(cold
+                    .outcomes
+                    .iter()
+                    .all(|outcome| matches!(outcome, PointOutcome::Answered { .. })));
+                let warm = cluster.mget(&canonicals(&rotated)).expect("warm mget");
+                assert!(warm.iter().all(Option::is_some), "warm cluster hits");
+            });
+        }
+    });
+
+    let mut cluster = ClusterClient::connect(&config).expect("cluster connects");
+    let stats = cluster.stats();
+    assert_eq!(stats.nodes_up(), 2);
+    assert_eq!(
+        stats.total_evaluated() as usize,
+        points.len(),
+        "the ring gives every canonical one owner: each point is evaluated once in total"
+    );
+    assert_eq!(stats.total_records(), points.len());
+    let warm = cluster.explore(&points).expect("warm explore");
+    assert_eq!(warm.evaluated, 0);
+    assert_eq!(warm.hits, points.len() as u64);
+
+    assert_eq!(cluster.shutdown_all(), 2);
+    for handle in handles {
+        handle.join().expect("server thread");
+    }
+    std::fs::remove_dir_all(&dir).expect("scratch dir removed");
 }
 
 #[test]

@@ -208,11 +208,7 @@ impl<T: WireSerde> WireSerde for Option<T> {
 
 impl<T: WireSerde> WireSerde for Vec<T> {
     fn serialize_into(&self, out: &mut impl Write) -> Result<(), WireError> {
-        write_seq_len(out, self.len())?;
-        for item in self {
-            item.serialize_into(out)?;
-        }
-        Ok(())
+        write_seq(out, self)
     }
 
     fn deserialize_from(reader: &mut impl Read) -> Result<Self, WireError> {
@@ -244,6 +240,20 @@ pub fn write_str(out: &mut impl Write, text: &str) -> Result<(), WireError> {
     }
     write_seq_len(out, text.len())?;
     out.write_all(text.as_bytes())?;
+    Ok(())
+}
+
+/// Writes a borrowed slice — the allocation-free twin of the `Vec<T>` impl,
+/// for callers encoding `&[T]` fields without cloning.
+///
+/// # Errors
+///
+/// As [`write_seq_len`] and the elements' own encoding.
+pub fn write_seq<T: WireSerde>(out: &mut impl Write, items: &[T]) -> Result<(), WireError> {
+    write_seq_len(out, items.len())?;
+    for item in items {
+        item.serialize_into(out)?;
+    }
     Ok(())
 }
 

@@ -1,13 +1,13 @@
-//! A minimal recursive JSON reader/writer for the wire protocol.
+//! The workspace's one JSON reader/writer, shared by the record cache lines
+//! and the serve layer's wire protocol.
 //!
-//! The workspace's `serde` is an offline no-op shim, and the flat-object
-//! parser inside `srra_explore` only handles the shape of a
-//! [`srra_explore::PointRecord`] line, so the protocol layer carries its own
-//! small JSON value type.  Numbers are kept as their raw source text: the
-//! parser never converts to `f64` and back, so re-rendering a parsed value
-//! reproduces the original digits exactly (this is what lets a client pass an
-//! embedded record object straight back to
-//! [`srra_explore::PointRecord::from_json_line`] without losing precision).
+//! The workspace's `serde` is an offline no-op shim, so this small recursive
+//! value type stands in for it.  Numbers are kept as their raw source text:
+//! the parser never converts to `f64` and back, so re-rendering a parsed
+//! value reproduces the original digits exactly, and
+//! [`PointRecord::from_json_value`](crate::PointRecord::from_json_value)
+//! reads the f64 fields of a record embedded in a larger document
+//! bit-exactly.
 
 use std::fmt::Write as _;
 

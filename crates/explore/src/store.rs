@@ -16,6 +16,8 @@ use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
+use crate::json::{render_string, JsonValue};
+
 /// The persisted outcome of evaluating one design point.
 ///
 /// `feasible` is `false` when the allocator rejected the point (register budget
@@ -66,22 +68,6 @@ pub struct PointRecord {
     pub distribution: String,
 }
 
-fn escape_json(out: &mut String, text: &str) {
-    for ch in text.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 impl PointRecord {
     /// Encodes the record as one line of JSON (no trailing newline).
     ///
@@ -105,15 +91,13 @@ impl PointRecord {
             ("algorithm", &self.algorithm),
             ("version", &self.version),
         ] {
-            let _ = write!(out, ",\"{name}\":\"");
-            escape_json(out, value);
-            out.push('"');
+            let _ = write!(out, ",\"{name}\":");
+            render_string(out, value);
         }
         let _ = write!(out, ",\"budget\":{}", self.budget);
         let _ = write!(out, ",\"ram_latency\":{}", self.ram_latency);
-        let _ = write!(out, ",\"device\":\"");
-        escape_json(out, &self.device);
-        out.push('"');
+        out.push_str(",\"device\":");
+        render_string(out, &self.device);
         let _ = write!(out, ",\"feasible\":{}", self.feasible);
         let _ = write!(out, ",\"fits\":{}", self.fits);
         let _ = write!(out, ",\"registers_used\":{}", self.registers_used);
@@ -127,9 +111,8 @@ impl PointRecord {
         let _ = write!(out, ",\"execution_time_us\":{:?}", self.execution_time_us);
         let _ = write!(out, ",\"slices\":{}", self.slices);
         let _ = write!(out, ",\"block_rams\":{}", self.block_rams);
-        let _ = write!(out, ",\"distribution\":\"");
-        escape_json(out, &self.distribution);
-        out.push('"');
+        out.push_str(",\"distribution\":");
+        render_string(out, &self.distribution);
         out.push('}');
     }
 
@@ -140,39 +123,48 @@ impl PointRecord {
     ///
     /// Returns a description of the first syntax problem or missing field.
     pub fn from_json_line(line: &str) -> Result<Self, String> {
-        let fields = parse_flat_object(line)?;
+        Self::from_json_value(&JsonValue::parse(line)?)
+    }
+
+    /// Decodes a record from an already parsed JSON object — the shape
+    /// [`PointRecord::to_json_line`] emits, standalone or embedded in a
+    /// larger document such as a serve reply.  Numbers keep their source
+    /// text, so the f64 fields come back bit-exactly.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first missing or mistyped field.
+    pub fn from_json_value(value: &JsonValue) -> Result<Self, String> {
+        let field = |name: &str| {
+            value
+                .get(name)
+                .ok_or_else(|| format!("missing field `{name}`"))
+        };
         let text = |name: &str| -> Result<String, String> {
-            match fields.iter().find(|(k, _)| k == name) {
-                Some((_, JsonValue::Text(s))) => Ok(s.clone()),
-                Some(_) => Err(format!("field `{name}` is not a string")),
-                None => Err(format!("missing field `{name}`")),
-            }
-        };
-        let num = |name: &str| -> Result<u64, String> {
-            match fields.iter().find(|(k, _)| k == name) {
-                Some((_, JsonValue::Number(raw))) => raw
-                    .parse::<u64>()
-                    .map_err(|e| format!("field `{name}`: {e}")),
-                Some(_) => Err(format!("field `{name}` is not a number")),
-                None => Err(format!("missing field `{name}`")),
-            }
-        };
-        let float = |name: &str| -> Result<f64, String> {
-            match fields.iter().find(|(k, _)| k == name) {
-                Some((_, JsonValue::Number(raw))) => raw
-                    .parse::<f64>()
-                    .map_err(|e| format!("field `{name}`: {e}")),
-                Some(_) => Err(format!("field `{name}` is not a number")),
-                None => Err(format!("missing field `{name}`")),
-            }
+            field(name)?
+                .as_str()
+                .map(str::to_owned)
+                .ok_or_else(|| format!("field `{name}` is not a string"))
         };
         let boolean = |name: &str| -> Result<bool, String> {
-            match fields.iter().find(|(k, _)| k == name) {
-                Some((_, JsonValue::Bool(b))) => Ok(*b),
-                Some(_) => Err(format!("field `{name}` is not a boolean")),
+            field(name)?
+                .as_bool()
+                .ok_or_else(|| format!("field `{name}` is not a boolean"))
+        };
+        fn number<T: std::str::FromStr>(value: &JsonValue, name: &str) -> Result<T, String>
+        where
+            T::Err: std::fmt::Display,
+        {
+            match value.get(name) {
+                Some(JsonValue::Number(raw)) => {
+                    raw.parse().map_err(|e| format!("field `{name}`: {e}"))
+                }
+                Some(_) => Err(format!("field `{name}` is not a number")),
                 None => Err(format!("missing field `{name}`")),
             }
-        };
+        }
+        let num = |name: &str| number::<u64>(value, name);
+        let float = |name: &str| number::<f64>(value, name);
         let key_text = text("key")?;
         let key_digits = key_text
             .strip_prefix("0x")
@@ -201,115 +193,6 @@ impl PointRecord {
             distribution: text("distribution")?,
         })
     }
-}
-
-enum JsonValue {
-    Text(String),
-    Number(String),
-    Bool(bool),
-}
-
-/// Parses a single-level JSON object with string / number / boolean values —
-/// exactly the shape [`PointRecord::to_json_line`] emits.
-fn parse_flat_object(line: &str) -> Result<Vec<(String, JsonValue)>, String> {
-    let mut chars = line.trim().chars().peekable();
-    let mut fields = Vec::new();
-
-    fn skip_ws(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) {
-        while matches!(chars.peek(), Some(c) if c.is_whitespace()) {
-            chars.next();
-        }
-    }
-
-    fn parse_string(
-        chars: &mut std::iter::Peekable<std::str::Chars<'_>>,
-    ) -> Result<String, String> {
-        if chars.next() != Some('"') {
-            return Err("expected `\"`".to_owned());
-        }
-        let mut out = String::new();
-        loop {
-            match chars.next() {
-                None => return Err("unterminated string".to_owned()),
-                Some('"') => return Ok(out),
-                Some('\\') => match chars.next() {
-                    Some('"') => out.push('"'),
-                    Some('\\') => out.push('\\'),
-                    Some('/') => out.push('/'),
-                    Some('n') => out.push('\n'),
-                    Some('r') => out.push('\r'),
-                    Some('t') => out.push('\t'),
-                    Some('u') => {
-                        let digits: String = (0..4).filter_map(|_| chars.next()).collect();
-                        let code = u32::from_str_radix(&digits, 16)
-                            .map_err(|e| format!("bad \\u escape: {e}"))?;
-                        out.push(
-                            char::from_u32(code)
-                                .ok_or_else(|| format!("bad \\u code point {code:#x}"))?,
-                        );
-                    }
-                    other => return Err(format!("bad escape `\\{other:?}`")),
-                },
-                Some(c) => out.push(c),
-            }
-        }
-    }
-
-    skip_ws(&mut chars);
-    if chars.next() != Some('{') {
-        return Err("expected `{`".to_owned());
-    }
-    skip_ws(&mut chars);
-    if chars.peek() == Some(&'}') {
-        return Ok(fields);
-    }
-    loop {
-        skip_ws(&mut chars);
-        let name = parse_string(&mut chars)?;
-        skip_ws(&mut chars);
-        if chars.next() != Some(':') {
-            return Err(format!("expected `:` after field `{name}`"));
-        }
-        skip_ws(&mut chars);
-        let value = match chars.peek() {
-            Some('"') => JsonValue::Text(parse_string(&mut chars)?),
-            Some('t') | Some('f') => {
-                let word: String = std::iter::from_fn(|| {
-                    matches!(chars.peek(), Some(c) if c.is_ascii_alphabetic())
-                        .then(|| chars.next())
-                        .flatten()
-                })
-                .collect();
-                match word.as_str() {
-                    "true" => JsonValue::Bool(true),
-                    "false" => JsonValue::Bool(false),
-                    other => return Err(format!("bad literal `{other}`")),
-                }
-            }
-            Some(c) if c.is_ascii_digit() || *c == '-' => {
-                let raw: String = std::iter::from_fn(|| {
-                    matches!(
-                        chars.peek(),
-                        Some(c) if c.is_ascii_digit()
-                            || matches!(c, '-' | '+' | '.' | 'e' | 'E')
-                    )
-                    .then(|| chars.next())
-                    .flatten()
-                })
-                .collect();
-                JsonValue::Number(raw)
-            }
-            other => return Err(format!("unexpected value start {other:?}")),
-        };
-        fields.push((name, value));
-        skip_ws(&mut chars);
-        match chars.next() {
-            Some(',') => continue,
-            Some('}') => break,
-            other => return Err(format!("expected `,` or `}}`, got {other:?}")),
-        }
-    }
-    Ok(fields)
 }
 
 /// Base layer of the store stack: the error type and cheap queries.

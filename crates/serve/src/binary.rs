@@ -31,9 +31,9 @@
 //! known, so the stream never desyncs (mirroring the JSON contract where a
 //! malformed line still produces exactly one reply line).
 
-use std::io::Read;
+use std::io::{Read, Write};
 
-use srra_explore::codec::{read_len, write_seq_len, write_str, WireError, WireSerde};
+use srra_explore::codec::{read_len, write_seq, write_seq_len, write_str, WireError, WireSerde};
 use srra_explore::PointRecord;
 use srra_obs::{
     valid_metric_name, HistogramSnapshot, MetricsSnapshot, SeriesSample, SnapshotDelta, Span,
@@ -116,7 +116,7 @@ pub fn read_frame(reader: &mut impl Read, payload: &mut Vec<u8>) -> Result<(), F
 
 /// Appends one complete frame (magic + length + trace + body) to `out`,
 /// encoding the body through `body`.
-fn frame_into(
+pub(crate) fn frame_into(
     out: &mut Vec<u8>,
     trace: Option<&str>,
     body: impl FnOnce(&mut Vec<u8>) -> Result<(), WireError>,
@@ -174,66 +174,36 @@ pub fn encode_response_frame(
     frame_into(out, trace, |buf| response.serialize_into(buf))
 }
 
-/// Appends a `get` request frame from a borrowed canonical — the binary twin
-/// of the JSON `render_get_request` fast path (no owned [`Request`] needed).
-pub(crate) fn encode_get_frame(
-    out: &mut Vec<u8>,
-    trace: Option<&str>,
-    canonical: &str,
-) -> Result<(), WireError> {
-    frame_into(out, trace, |buf| {
-        TAG_GET.serialize_into(buf)?;
-        write_str(buf, canonical)
-    })
+/// Writes a `get` request body from a borrowed canonical.  This and the
+/// three writers below are each op's one binary request layout: the owned
+/// [`Request`] encoding and the client's borrowed, no-clone encoding both
+/// call them, the way the JSON side shares `render_*_request`.
+pub(crate) fn write_get(out: &mut impl Write, canonical: &str) -> Result<(), WireError> {
+    TAG_GET.serialize_into(out)?;
+    write_str(out, canonical)
 }
 
-/// Appends an `mget` request frame from borrowed canonicals.
-pub(crate) fn encode_mget_frame(
-    out: &mut Vec<u8>,
-    trace: Option<&str>,
-    canonicals: &[String],
-) -> Result<(), WireError> {
-    frame_into(out, trace, |buf| {
-        TAG_MGET.serialize_into(buf)?;
-        write_seq_len(buf, canonicals.len())?;
-        for canonical in canonicals {
-            write_str(buf, canonical)?;
-        }
-        Ok(())
-    })
+/// Writes an `mget` request body from borrowed canonicals.
+pub(crate) fn write_mget(out: &mut impl Write, canonicals: &[String]) -> Result<(), WireError> {
+    TAG_MGET.serialize_into(out)?;
+    write_seq(out, canonicals)
 }
 
-/// Appends an `explore`/`mexplore` request frame from borrowed points.
-pub(crate) fn encode_points_frame(
-    out: &mut Vec<u8>,
-    trace: Option<&str>,
+/// Writes an `explore` (or, with `multi`, `mexplore`) request body from
+/// borrowed points.
+pub(crate) fn write_points(
+    out: &mut impl Write,
     multi: bool,
     points: &[QueryPoint],
 ) -> Result<(), WireError> {
-    frame_into(out, trace, |buf| {
-        if multi { TAG_MEXPLORE } else { TAG_EXPLORE }.serialize_into(buf)?;
-        write_seq_len(buf, points.len())?;
-        for point in points {
-            point.serialize_into(buf)?;
-        }
-        Ok(())
-    })
+    if multi { TAG_MEXPLORE } else { TAG_EXPLORE }.serialize_into(out)?;
+    write_seq(out, points)
 }
 
-/// Appends a `put` request frame from borrowed records.
-pub(crate) fn encode_put_frame(
-    out: &mut Vec<u8>,
-    trace: Option<&str>,
-    records: &[PointRecord],
-) -> Result<(), WireError> {
-    frame_into(out, trace, |buf| {
-        TAG_PUT.serialize_into(buf)?;
-        write_seq_len(buf, records.len())?;
-        for record in records {
-            record.serialize_into(buf)?;
-        }
-        Ok(())
-    })
+/// Writes a `put` request body from borrowed records.
+pub(crate) fn write_put(out: &mut impl Write, records: &[PointRecord]) -> Result<(), WireError> {
+    TAG_PUT.serialize_into(out)?;
+    write_seq(out, records)
 }
 
 /// Decodes a frame payload (trace prefix + tagged body), requiring every
@@ -285,7 +255,7 @@ const TAG_SCAN: u8 = 12;
 const TAG_SERIES: u8 = 13;
 
 impl WireSerde for QueryPoint {
-    fn serialize_into(&self, out: &mut impl std::io::Write) -> Result<(), WireError> {
+    fn serialize_into(&self, out: &mut impl Write) -> Result<(), WireError> {
         write_str(out, &self.kernel)?;
         write_str(out, &self.algorithm)?;
         self.budget.serialize_into(out)?;
@@ -305,28 +275,13 @@ impl WireSerde for QueryPoint {
 }
 
 impl WireSerde for Request {
-    fn serialize_into(&self, out: &mut impl std::io::Write) -> Result<(), WireError> {
+    fn serialize_into(&self, out: &mut impl Write) -> Result<(), WireError> {
         match self {
-            Request::Get { canonical } => {
-                TAG_GET.serialize_into(out)?;
-                write_str(out, canonical)
-            }
-            Request::MultiGet { canonicals } => {
-                TAG_MGET.serialize_into(out)?;
-                canonicals.serialize_into(out)
-            }
-            Request::Explore { points } => {
-                TAG_EXPLORE.serialize_into(out)?;
-                points.serialize_into(out)
-            }
-            Request::MultiExplore { points } => {
-                TAG_MEXPLORE.serialize_into(out)?;
-                points.serialize_into(out)
-            }
-            Request::Put { records } => {
-                TAG_PUT.serialize_into(out)?;
-                records.serialize_into(out)
-            }
+            Request::Get { canonical } => write_get(out, canonical),
+            Request::MultiGet { canonicals } => write_mget(out, canonicals),
+            Request::Explore { points } => write_points(out, false, points),
+            Request::MultiExplore { points } => write_points(out, true, points),
+            Request::Put { records } => write_put(out, records),
             Request::Ping => TAG_PING.serialize_into(out),
             Request::Stats => TAG_STATS.serialize_into(out),
             Request::Metrics { prometheus } => {
@@ -445,7 +400,7 @@ impl WireSerde for Request {
 }
 
 impl WireSerde for PointOutcome {
-    fn serialize_into(&self, out: &mut impl std::io::Write) -> Result<(), WireError> {
+    fn serialize_into(&self, out: &mut impl Write) -> Result<(), WireError> {
         match self {
             PointOutcome::Answered { record, hit } => {
                 0u8.serialize_into(out)?;
@@ -476,7 +431,7 @@ impl WireSerde for PointOutcome {
 }
 
 impl WireSerde for OpStats {
-    fn serialize_into(&self, out: &mut impl std::io::Write) -> Result<(), WireError> {
+    fn serialize_into(&self, out: &mut impl Write) -> Result<(), WireError> {
         write_str(out, &self.op)?;
         self.count.serialize_into(out)?;
         self.p50_us.serialize_into(out)?;
@@ -494,7 +449,7 @@ impl WireSerde for OpStats {
 }
 
 impl WireSerde for ServerStats {
-    fn serialize_into(&self, out: &mut impl std::io::Write) -> Result<(), WireError> {
+    fn serialize_into(&self, out: &mut impl Write) -> Result<(), WireError> {
         self.uptime_ms.serialize_into(out)?;
         self.uptime_secs.serialize_into(out)?;
         write_str(out, &self.version)?;
@@ -541,10 +496,7 @@ impl WireSerde for ServerStats {
 // `WireSerde` (from `srra_explore`) cannot be implemented for the foreign
 // `MetricsSnapshot` (from `srra_obs`) — orphan rule — so the snapshot
 // encoding lives in a pair of free functions.
-fn write_snapshot(
-    out: &mut impl std::io::Write,
-    snapshot: &MetricsSnapshot,
-) -> Result<(), WireError> {
+fn write_snapshot(out: &mut impl Write, snapshot: &MetricsSnapshot) -> Result<(), WireError> {
     write_seq_len(out, snapshot.counters.len())?;
     for (name, count) in &snapshot.counters {
         write_str(out, name)?;
@@ -618,7 +570,7 @@ fn read_snapshot(reader: &mut impl Read) -> Result<MetricsSnapshot, WireError> {
 
 /// Encodes one [`Span`] (a foreign `srra_obs` type — orphan rule, same
 /// pattern as the snapshot pair above).
-fn write_span(out: &mut impl std::io::Write, span: &Span) -> Result<(), WireError> {
+fn write_span(out: &mut impl Write, span: &Span) -> Result<(), WireError> {
     write_str(out, &span.trace_id)?;
     span.span_id.serialize_into(out)?;
     span.parent_id.serialize_into(out)?;
@@ -678,7 +630,7 @@ const RESP_SERIES: u8 = 16;
 const RESP_DELTA: u8 = 17;
 
 impl WireSerde for ShardDigest {
-    fn serialize_into(&self, out: &mut impl std::io::Write) -> Result<(), WireError> {
+    fn serialize_into(&self, out: &mut impl Write) -> Result<(), WireError> {
         self.records.serialize_into(out)?;
         self.fold.serialize_into(out)
     }
@@ -692,7 +644,7 @@ impl WireSerde for ShardDigest {
 }
 
 impl WireSerde for Response {
-    fn serialize_into(&self, out: &mut impl std::io::Write) -> Result<(), WireError> {
+    fn serialize_into(&self, out: &mut impl Write) -> Result<(), WireError> {
         match self {
             Response::Found { record } => {
                 RESP_FOUND.serialize_into(out)?;
@@ -1157,53 +1109,46 @@ mod tests {
         let canonicals = vec!["a".to_owned(), "b".to_owned()];
         let points = vec![QueryPoint::new("fir", "cpa", 32)];
         let records = vec![sample_record()];
-        let cases: Vec<(Request, Vec<u8>)> = {
-            let mut cases = Vec::new();
-            let mut buf = Vec::new();
-            encode_get_frame(&mut buf, None, "a").unwrap();
-            cases.push((
+        let borrowed = |body: &dyn Fn(&mut Vec<u8>) -> Result<(), WireError>| {
+            let mut frame = Vec::new();
+            frame_into(&mut frame, Some("t-1"), body).unwrap();
+            frame
+        };
+        let cases: Vec<(Request, Vec<u8>)> = vec![
+            (
                 Request::Get {
                     canonical: "a".to_owned(),
                 },
-                buf.clone(),
-            ));
-            buf.clear();
-            encode_mget_frame(&mut buf, None, &canonicals).unwrap();
-            cases.push((
+                borrowed(&|out| write_get(out, "a")),
+            ),
+            (
                 Request::MultiGet {
                     canonicals: canonicals.clone(),
                 },
-                buf.clone(),
-            ));
-            buf.clear();
-            encode_points_frame(&mut buf, None, false, &points).unwrap();
-            cases.push((
+                borrowed(&|out| write_mget(out, &canonicals)),
+            ),
+            (
                 Request::Explore {
                     points: points.clone(),
                 },
-                buf.clone(),
-            ));
-            buf.clear();
-            encode_points_frame(&mut buf, None, true, &points).unwrap();
-            cases.push((
+                borrowed(&|out| write_points(out, false, &points)),
+            ),
+            (
                 Request::MultiExplore {
                     points: points.clone(),
                 },
-                buf.clone(),
-            ));
-            buf.clear();
-            encode_put_frame(&mut buf, None, &records).unwrap();
-            cases.push((
+                borrowed(&|out| write_points(out, true, &points)),
+            ),
+            (
                 Request::Put {
                     records: records.clone(),
                 },
-                buf.clone(),
-            ));
-            cases
-        };
+                borrowed(&|out| write_put(out, &records)),
+            ),
+        ];
         for (request, borrowed) in cases {
             let mut owned = Vec::new();
-            encode_request_frame(&mut owned, None, &request).unwrap();
+            encode_request_frame(&mut owned, Some("t-1"), &request).unwrap();
             assert_eq!(borrowed, owned, "{request:?}");
         }
     }

@@ -1,13 +1,16 @@
 //! Blocking clients for the serve protocol, used by `srra query`, the
-//! integration tests and the serving benchmark.
+//! cluster router and the integration tests.
 //!
-//! [`Connection`] is the hot-path client: it keeps one `TcpStream` (with
-//! `TCP_NODELAY`) alive across any number of requests, renders each request
-//! plus its trailing `\n` into a reused scratch buffer and sends it with a
-//! single `write_all`, and supports *pipelining* — write N request lines
-//! back-to-back, then read the N replies in order.  [`Client`] is the
-//! connection-per-request convenience wrapper kept for one-shot callers: each
-//! call opens a fresh [`Connection`], performs one round trip and drops it.
+//! [`Connection`] is the client: it keeps one `TcpStream` (with
+//! `TCP_NODELAY`) alive across any number of requests, prepares each request
+//! (a JSON line plus its trailing `\n`, or one binary frame) in a reused
+//! scratch buffer and sends it with a single `write_all`, and supports
+//! *pipelining* — write N requests back-to-back, then read the N replies in
+//! order.  Every typed op is one preparation step (the op's JSON renderer
+//! and binary body writer, shared with [`Request`]'s own encodings) plus one
+//! narrowing step from [`Response`] to the op's reply type.  [`Client`] is
+//! only an address handle: it opens connections and carries the one
+//! naturally one-shot op, `shutdown`.
 //!
 //! A keep-alive socket can go stale while idle — the server restarted, or a
 //! middlebox dropped the connection — surfacing as broken-pipe / ECONNRESET
@@ -25,13 +28,13 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-use srra_explore::codec::WireError;
+use srra_explore::codec::{WireError, WireSerde};
 use srra_explore::PointRecord;
 use srra_obs::{Counter, MetricsSnapshot, Registry, SeriesSample, SnapshotDelta, Span};
 
 use crate::binary::{
-    encode_get_frame, encode_mget_frame, encode_points_frame, encode_put_frame,
-    encode_request_frame, read_frame, FrameError,
+    decode_payload, frame_into, read_frame, write_get, write_mget, write_points, write_put,
+    FrameError,
 };
 use crate::protocol::{
     render_get_request, render_mget_request, render_points_request, render_put_request,
@@ -331,33 +334,89 @@ impl Connection {
     ///
     /// Socket-level failures.
     pub fn send(&mut self, request: &Request) -> Result<(), ClientError> {
-        if self.binary {
-            self.frame.clear();
-            encode_request_frame(&mut self.frame, self.trace.as_deref(), request)
-                .map_err(wire_err)?;
-            self.writer.write_all(&self.frame)?;
-            return Ok(());
-        }
-        self.scratch.clear();
-        request.render_into(&mut self.scratch);
-        self.send_scratch_line()
+        self.prepare_request(request)?;
+        Ok(self.write_prepared()?)
     }
 
-    /// Stamps the connection's trace id (when set) onto the request line
-    /// sitting in `scratch` and terminates it with `\n`.
-    fn finish_scratch_line(&mut self) {
+    /// Empties both codecs' outgoing scratch buffers.
+    fn clear_prepared(&mut self) {
+        self.scratch.clear();
+        self.frame.clear();
+    }
+
+    /// Appends one request to the active codec's scratch buffer: JSON
+    /// requests are rendered by `render`, then stamped with the
+    /// connection's trace id (when set) and terminated with `\n`; binary
+    /// requests get their body from `body`, framed with the trace id in the
+    /// frame header.
+    fn append(
+        &mut self,
+        render: impl FnOnce(&mut String),
+        body: impl FnOnce(&mut Vec<u8>) -> Result<(), WireError>,
+    ) -> Result<(), ClientError> {
+        if self.binary {
+            return frame_into(&mut self.frame, self.trace.as_deref(), body).map_err(wire_err);
+        }
+        render(&mut self.scratch);
         if let Some(trace) = &self.trace {
             stamp_trace(&mut self.scratch, trace);
         }
         self.scratch.push('\n');
+        Ok(())
     }
 
-    /// Terminates and writes the request line sitting in `scratch` with one
-    /// `write_all`.
-    fn send_scratch_line(&mut self) -> Result<(), ClientError> {
-        self.finish_scratch_line();
-        self.writer.write_all(self.scratch.as_bytes())?;
-        Ok(())
+    /// [`append`](Connection::append) for an owned [`Request`].
+    fn append_request(&mut self, request: &Request) -> Result<(), ClientError> {
+        self.append(
+            |out| request.render_into(out),
+            |out| request.serialize_into(out),
+        )
+    }
+
+    /// Prepares exactly one request in the active codec's scratch buffer.
+    fn prepare(
+        &mut self,
+        render: impl FnOnce(&mut String),
+        body: impl FnOnce(&mut Vec<u8>) -> Result<(), WireError>,
+    ) -> Result<(), ClientError> {
+        self.clear_prepared();
+        self.append(render, body)
+    }
+
+    /// [`prepare`](Connection::prepare) for an owned [`Request`].
+    fn prepare_request(&mut self, request: &Request) -> Result<(), ClientError> {
+        self.clear_prepared();
+        self.append_request(request)
+    }
+
+    /// Round-trips the prepared request of `op` (replayed once on a stale
+    /// socket, unless `op` is `shutdown`) and narrows the reply to the shape
+    /// `op` expects: `pick` returns the typed value or hands an unexpected
+    /// response back (boxed: replies are large, and this is the cold path).
+    /// A server error reply becomes [`ClientError::Server`]; any other shape
+    /// is a protocol violation.
+    fn reply<T>(
+        &mut self,
+        op: &str,
+        pick: impl FnOnce(Response) -> Result<T, Box<Response>>,
+    ) -> Result<T, ClientError> {
+        let response = self.roundtrip_prepared(op != "shutdown")?;
+        match pick(response).map_err(|unexpected| *unexpected) {
+            Ok(value) => Ok(value),
+            Err(Response::Error { message }) => Err(ClientError::Server(message)),
+            Err(other) => Err(ClientError::Protocol(format!(
+                "unexpected response to {op}: {other:?}"
+            ))),
+        }
+    }
+
+    /// Writes the prepared request bytes with one `write_all`.
+    fn write_prepared(&mut self) -> std::io::Result<()> {
+        if self.binary {
+            self.writer.write_all(&self.frame)
+        } else {
+            self.writer.write_all(self.scratch.as_bytes())
+        }
     }
 
     /// Reads and decodes the next response (line or binary frame, matching
@@ -380,8 +439,7 @@ impl Connection {
             )));
         }
         self.line.truncate(self.line.trim_end().len());
-        // Peel an echoed trace id off the reply before parsing, so traced
-        // replies still hit the codec's exact-shape fast paths.
+        // Peel an echoed trace id off the reply before parsing.
         self.last_trace = None;
         let echoed = trace_suffix(&self.line).map(|(start, id)| (start, id.to_owned()));
         if let Some((start, id)) = echoed {
@@ -400,24 +458,19 @@ impl Connection {
             Err(FrameError::Io(err)) => return Err(ClientError::Io(err)),
             Err(err) => return Err(ClientError::Protocol(err.to_string())),
         }
-        let (response, trace) =
-            crate::binary::decode_payload::<Response>(&self.payload).map_err(wire_err)?;
+        let (response, trace) = decode_payload::<Response>(&self.payload).map_err(wire_err)?;
         self.last_trace = trace;
         Ok(response)
     }
 
-    /// Completes the request prepared in the active codec's scratch buffer
-    /// (JSON: stamps the trace and terminates the line; binary: the frame is
-    /// already complete), performs the round trip, and — when the socket
-    /// turns out to be stale — reconnects and replays the identical bytes
-    /// exactly once.  Safe because every protocol op is idempotent and a
-    /// stale failure means no reply byte arrived.
-    fn roundtrip_prepared(&mut self) -> Result<Response, ClientError> {
-        if !self.binary {
-            self.finish_scratch_line();
-        }
+    /// Performs the round trip of the prepared request and — when the socket
+    /// turns out to be stale and the request is `replayable` — reconnects
+    /// and replays the identical bytes exactly once.  Safe because a stale
+    /// failure means no reply byte arrived; only `shutdown` is not
+    /// replayable (a replay could stop a server restarted in between).
+    fn roundtrip_prepared(&mut self, replayable: bool) -> Result<Response, ClientError> {
         match self.try_roundtrip_prepared() {
-            Err(err) if is_stale(&err) => {
+            Err(err) if replayable && is_stale(&err) => {
                 connection_metrics().reconnect_retries.inc();
                 self.reconnect()?;
                 self.try_roundtrip_prepared()
@@ -429,25 +482,8 @@ impl Connection {
     /// One attempt of [`roundtrip_prepared`](Connection::roundtrip_prepared):
     /// writes the prepared request bytes and reads one reply.
     fn try_roundtrip_prepared(&mut self) -> Result<Response, ClientError> {
-        if self.binary {
-            self.writer.write_all(&self.frame)?;
-        } else {
-            self.writer.write_all(self.scratch.as_bytes())?;
-        }
+        self.write_prepared()?;
         self.receive()
-    }
-
-    /// Prepares `request` in the active codec's scratch buffer (trace baked
-    /// into binary frames; JSON lines get theirs in `finish_scratch_line`).
-    fn prepare_request(&mut self, request: &Request) -> Result<(), ClientError> {
-        if self.binary {
-            self.frame.clear();
-            encode_request_frame(&mut self.frame, self.trace.as_deref(), request).map_err(wire_err)
-        } else {
-            self.scratch.clear();
-            request.render_into(&mut self.scratch);
-            Ok(())
-        }
     }
 
     /// Sends one request and reads its response, transparently reconnecting
@@ -461,16 +497,10 @@ impl Connection {
     /// Socket-level failures and malformed responses.
     pub fn roundtrip(&mut self, request: &Request) -> Result<Response, ClientError> {
         self.prepare_request(request)?;
-        if matches!(request, Request::Shutdown) {
-            if !self.binary {
-                self.finish_scratch_line();
-            }
-            return self.try_roundtrip_prepared();
-        }
-        self.roundtrip_prepared()
+        self.roundtrip_prepared(!matches!(request, Request::Shutdown))
     }
 
-    /// Pipelines a batch: renders *all* request lines into one buffer, sends
+    /// Pipelines a batch: prepares *all* requests into one buffer, sends
     /// them with a single `write_all`, then reads the replies in order.
     ///
     /// The caller bounds the batch: both peers' socket buffers must absorb
@@ -491,21 +521,9 @@ impl Connection {
     /// reply is returned in place, not promoted to an `Err` — pipelined
     /// batches are position-addressed.
     pub fn pipeline(&mut self, requests: &[Request]) -> Result<Vec<Response>, ClientError> {
-        if self.binary {
-            self.frame.clear();
-            for request in requests {
-                encode_request_frame(&mut self.frame, self.trace.as_deref(), request)
-                    .map_err(wire_err)?;
-            }
-        } else {
-            self.scratch.clear();
-            for request in requests {
-                request.render_into(&mut self.scratch);
-                if let Some(trace) = &self.trace {
-                    stamp_trace(&mut self.scratch, trace);
-                }
-                self.scratch.push('\n');
-            }
+        self.clear_prepared();
+        for request in requests {
+            self.append_request(request)?;
         }
         let replayable = !requests
             .iter()
@@ -523,19 +541,14 @@ impl Connection {
     }
 
     /// One attempt of [`pipeline`](Connection::pipeline): writes the whole
-    /// pre-rendered window (lines or frames), then reads `count` replies.
+    /// prepared window (lines or frames), then reads `count` replies.
     /// The error's boolean says whether a retry is safe: `true` only while
     /// no reply byte has been consumed.
     fn try_pipeline_prepared(
         &mut self,
         count: usize,
     ) -> Result<Vec<Response>, (ClientError, bool)> {
-        let written = if self.binary {
-            self.writer.write_all(&self.frame)
-        } else {
-            self.writer.write_all(self.scratch.as_bytes())
-        };
-        if let Err(err) = written {
+        if let Err(err) = self.write_prepared() {
             let err = ClientError::Io(err);
             let retryable = is_stale(&err);
             return Err((err, retryable));
@@ -560,15 +573,15 @@ impl Connection {
     /// Connection failures, malformed responses and server-side errors.
     pub fn get(&mut self, canonical: &str) -> Result<Option<PointRecord>, ClientError> {
         // Encoded from the borrowed canonical — no owned Request, no clone.
-        if self.binary {
-            self.frame.clear();
-            encode_get_frame(&mut self.frame, self.trace.as_deref(), canonical)
-                .map_err(wire_err)?;
-        } else {
-            self.scratch.clear();
-            render_get_request(&mut self.scratch, canonical);
-        }
-        expect_get(self.roundtrip_prepared()?)
+        self.prepare(
+            |out| render_get_request(out, canonical),
+            |out| write_get(out, canonical),
+        )?;
+        self.reply("get", |response| match response {
+            Response::Found { record } => Ok(Some(record)),
+            Response::NotFound => Ok(None),
+            other => Err(other.into()),
+        })
     }
 
     /// Looks a batch of canonical strings up in one request/reply pair.
@@ -577,15 +590,14 @@ impl Connection {
     ///
     /// Connection failures, malformed responses and server-side errors.
     pub fn mget(&mut self, canonicals: &[String]) -> Result<Vec<Option<PointRecord>>, ClientError> {
-        if self.binary {
-            self.frame.clear();
-            encode_mget_frame(&mut self.frame, self.trace.as_deref(), canonicals)
-                .map_err(wire_err)?;
-        } else {
-            self.scratch.clear();
-            render_mget_request(&mut self.scratch, canonicals);
-        }
-        expect_mget(self.roundtrip_prepared()?)
+        self.prepare(
+            |out| render_mget_request(out, canonicals),
+            |out| write_mget(out, canonicals),
+        )?;
+        self.reply("mget", |response| match response {
+            Response::MultiGot { records } => Ok(records),
+            other => Err(other.into()),
+        })
     }
 
     /// Answers a batch of design points (hits from the shards, misses
@@ -595,15 +607,22 @@ impl Connection {
     ///
     /// Connection failures, malformed responses and server-side errors.
     pub fn explore(&mut self, points: &[QueryPoint]) -> Result<ExploreReply, ClientError> {
-        if self.binary {
-            self.frame.clear();
-            encode_points_frame(&mut self.frame, self.trace.as_deref(), false, points)
-                .map_err(wire_err)?;
-        } else {
-            self.scratch.clear();
-            render_points_request(&mut self.scratch, "explore", points);
-        }
-        expect_explore(self.roundtrip_prepared()?)
+        self.prepare(
+            |out| render_points_request(out, "explore", points),
+            |out| write_points(out, false, points),
+        )?;
+        self.reply("explore", |response| match response {
+            Response::Explored {
+                records,
+                hits,
+                evaluated,
+            } => Ok(ExploreReply {
+                records,
+                hits,
+                evaluated,
+            }),
+            other => Err(other.into()),
+        })
     }
 
     /// Answers a batch of design points with per-point outcomes: a point that
@@ -614,15 +633,22 @@ impl Connection {
     ///
     /// Connection failures, malformed responses and server-side errors.
     pub fn mexplore(&mut self, points: &[QueryPoint]) -> Result<MultiExploreReply, ClientError> {
-        if self.binary {
-            self.frame.clear();
-            encode_points_frame(&mut self.frame, self.trace.as_deref(), true, points)
-                .map_err(wire_err)?;
-        } else {
-            self.scratch.clear();
-            render_points_request(&mut self.scratch, "mexplore", points);
-        }
-        expect_mexplore(self.roundtrip_prepared()?)
+        self.prepare(
+            |out| render_points_request(out, "mexplore", points),
+            |out| write_points(out, true, points),
+        )?;
+        self.reply("mexplore", |response| match response {
+            Response::MultiExplored {
+                outcomes,
+                hits,
+                evaluated,
+            } => Ok(MultiExploreReply {
+                outcomes,
+                hits,
+                evaluated,
+            }),
+            other => Err(other.into()),
+        })
     }
 
     /// Stores pre-evaluated records verbatim (the cluster replication tee);
@@ -632,14 +658,14 @@ impl Connection {
     ///
     /// Connection failures, malformed responses and server-side errors.
     pub fn put(&mut self, records: &[PointRecord]) -> Result<u64, ClientError> {
-        if self.binary {
-            self.frame.clear();
-            encode_put_frame(&mut self.frame, self.trace.as_deref(), records).map_err(wire_err)?;
-        } else {
-            self.scratch.clear();
-            render_put_request(&mut self.scratch, records);
-        }
-        expect_stored(self.roundtrip_prepared()?)
+        self.prepare(
+            |out| render_put_request(out, records),
+            |out| write_put(out, records),
+        )?;
+        self.reply("put", |response| match response {
+            Response::Stored { stored } => Ok(stored),
+            other => Err(other.into()),
+        })
     }
 
     /// Trivial health probe: round-trips a `ping` line.
@@ -648,8 +674,11 @@ impl Connection {
     ///
     /// Connection failures, malformed responses and server-side errors.
     pub fn ping(&mut self) -> Result<(), ClientError> {
-        let response = self.roundtrip(&Request::Ping)?;
-        expect_pong(response)
+        self.prepare_request(&Request::Ping)?;
+        self.reply("ping", |response| match response {
+            Response::Pong => Ok(()),
+            other => Err(other.into()),
+        })
     }
 
     /// Fetches the server statistics.
@@ -658,8 +687,11 @@ impl Connection {
     ///
     /// Connection failures, malformed responses and server-side errors.
     pub fn stats(&mut self) -> Result<ServerStats, ClientError> {
-        let response = self.roundtrip(&Request::Stats)?;
-        expect_stats(response)
+        self.prepare_request(&Request::Stats)?;
+        self.reply("stats", |response| match response {
+            Response::Stats(stats) => Ok(stats),
+            other => Err(other.into()),
+        })
     }
 
     /// Fetches the server's full telemetry snapshot (counters, gauges and
@@ -669,8 +701,12 @@ impl Connection {
     ///
     /// Connection failures, malformed responses and server-side errors.
     pub fn metrics(&mut self) -> Result<MetricsSnapshot, ClientError> {
-        let response = self.roundtrip(&Request::Metrics { prometheus: false })?;
-        expect_metrics(response)
+        let request = Request::Metrics { prometheus: false };
+        self.prepare_request(&request)?;
+        self.reply("metrics", |response| match response {
+            Response::Metrics(snapshot) => Ok(snapshot),
+            other => Err(other.into()),
+        })
     }
 
     /// Fetches the server's telemetry in the Prometheus text exposition
@@ -680,8 +716,12 @@ impl Connection {
     ///
     /// Connection failures, malformed responses and server-side errors.
     pub fn metrics_text(&mut self) -> Result<String, ClientError> {
-        let response = self.roundtrip(&Request::Metrics { prometheus: true })?;
-        expect_metrics_text(response)
+        let request = Request::Metrics { prometheus: true };
+        self.prepare_request(&request)?;
+        self.reply("metrics", |response| match response {
+            Response::MetricsText { text } => Ok(text),
+            other => Err(other.into()),
+        })
     }
 
     /// Fetches the spans the server's flight recorder retains for `id` —
@@ -692,8 +732,12 @@ impl Connection {
     ///
     /// Connection failures, malformed responses and server-side errors.
     pub fn trace_spans(&mut self, id: &str) -> Result<Vec<Span>, ClientError> {
-        let response = self.roundtrip(&Request::Trace { id: id.to_owned() })?;
-        expect_traced(response)
+        let request = Request::Trace { id: id.to_owned() };
+        self.prepare_request(&request)?;
+        self.reply("trace", |response| match response {
+            Response::Traced { spans } => Ok(spans),
+            other => Err(other.into()),
+        })
     }
 
     /// Fetches the newest `last` samples of the server's metrics series ring
@@ -703,8 +747,12 @@ impl Connection {
     ///
     /// Connection failures, malformed responses and server-side errors.
     pub fn series_samples(&mut self, last: u64) -> Result<Vec<SeriesSample>, ClientError> {
-        let response = self.roundtrip(&Request::Series { last, window_us: 0 })?;
-        expect_series(response)
+        let request = Request::Series { last, window_us: 0 };
+        self.prepare_request(&request)?;
+        self.reply("series", |response| match response {
+            Response::Series { samples } => Ok(samples),
+            other => Err(other.into()),
+        })
     }
 
     /// Fetches the metrics delta across the server's trailing `window_us`
@@ -716,8 +764,12 @@ impl Connection {
     /// Connection failures, malformed responses and server-side errors
     /// (including too few samples in the window, e.g. a disabled sampler).
     pub fn series_delta(&mut self, window_us: u64) -> Result<SnapshotDelta, ClientError> {
-        let response = self.roundtrip(&Request::Series { last: 0, window_us })?;
-        expect_series_delta(response)
+        let request = Request::Series { last: 0, window_us };
+        self.prepare_request(&request)?;
+        self.reply("series", |response| match response {
+            Response::SeriesDelta { delta } => Ok(delta),
+            other => Err(other.into()),
+        })
     }
 
     /// Fetches the server's per-shard anti-entropy digests, in shard order.
@@ -728,8 +780,11 @@ impl Connection {
     ///
     /// Connection failures, malformed responses and server-side errors.
     pub fn digest(&mut self) -> Result<Vec<ShardDigest>, ClientError> {
-        let response = self.roundtrip(&Request::Digest)?;
-        expect_digests(response)
+        self.prepare_request(&Request::Digest)?;
+        self.reply("digest", |response| match response {
+            Response::Digests { digests } => Ok(digests),
+            other => Err(other.into()),
+        })
     }
 
     /// Fetches one page of shard `shard`'s canonical strings (`offset` /
@@ -746,12 +801,16 @@ impl Connection {
         offset: u64,
         limit: u64,
     ) -> Result<(Vec<String>, bool), ClientError> {
-        let response = self.roundtrip(&Request::Scan {
+        let request = Request::Scan {
             shard,
             offset,
             limit,
-        })?;
-        expect_scanned(response)
+        };
+        self.prepare_request(&request)?;
+        self.reply("scan", |response| match response {
+            Response::Scanned { canonicals, done } => Ok((canonicals, done)),
+            other => Err(other.into()),
+        })
     }
 
     /// Asks the server to shut down gracefully.  Never retried on a stale
@@ -763,17 +822,19 @@ impl Connection {
     ///
     /// Connection failures, malformed responses and server-side errors.
     pub fn shutdown(&mut self) -> Result<(), ClientError> {
-        let response = self.roundtrip(&Request::Shutdown)?;
-        expect_shutdown(response)
+        self.prepare_request(&Request::Shutdown)?;
+        self.reply("shutdown", |response| match response {
+            Response::ShuttingDown => Ok(()),
+            other => Err(other.into()),
+        })
     }
 }
 
-/// A connection-per-request client addressing one server.
-///
-/// Every method opens a fresh [`Connection`] (so it inherits the single
-/// `write_all` framing and `TCP_NODELAY`), performs one round trip and drops
-/// the socket.  Use [`Client::connect`] — or [`Connection::connect`] directly
-/// — to keep a connection alive across requests.
+/// An address handle for one server: it opens [`Connection`]s in its codec
+/// and carries the one naturally one-shot op, [`shutdown`](Client::shutdown).
+/// Every other op lives on [`Connection`] — open one with
+/// [`connect`](Client::connect) (or [`Connection::connect`] directly) and
+/// keep it for as many requests as the caller has.
 #[derive(Debug, Clone)]
 pub struct Client {
     addr: String,
@@ -816,336 +877,12 @@ impl Client {
         }
     }
 
-    /// Sends one request line and reads one response line over a fresh
-    /// connection.
-    ///
-    /// # Errors
-    ///
-    /// Connection failures and malformed responses.
-    pub fn roundtrip(&self, request: &Request) -> Result<Response, ClientError> {
-        self.connect()?.roundtrip(request)
-    }
-
-    /// Looks a record up by canonical string; `None` is a miss.
-    ///
-    /// # Errors
-    ///
-    /// Connection failures, malformed responses and server-side errors.
-    pub fn get(&self, canonical: &str) -> Result<Option<PointRecord>, ClientError> {
-        self.connect()?.get(canonical)
-    }
-
-    /// Looks a batch of canonical strings up in one request/reply pair.
-    ///
-    /// # Errors
-    ///
-    /// Connection failures, malformed responses and server-side errors.
-    pub fn mget(&self, canonicals: &[String]) -> Result<Vec<Option<PointRecord>>, ClientError> {
-        self.connect()?.mget(canonicals)
-    }
-
-    /// Answers a batch of design points (hits from the shards, misses
-    /// evaluated server-side).
-    ///
-    /// # Errors
-    ///
-    /// Connection failures, malformed responses and server-side errors.
-    pub fn explore(&self, points: &[QueryPoint]) -> Result<ExploreReply, ClientError> {
-        self.connect()?.explore(points)
-    }
-
-    /// Answers a batch of design points with per-point outcomes.
-    ///
-    /// # Errors
-    ///
-    /// Connection failures, malformed responses and server-side errors.
-    pub fn mexplore(&self, points: &[QueryPoint]) -> Result<MultiExploreReply, ClientError> {
-        self.connect()?.mexplore(points)
-    }
-
-    /// Stores pre-evaluated records verbatim; returns how many were new.
-    ///
-    /// # Errors
-    ///
-    /// Connection failures, malformed responses and server-side errors.
-    pub fn put(&self, records: &[PointRecord]) -> Result<u64, ClientError> {
-        self.connect()?.put(records)
-    }
-
-    /// Trivial health probe.
-    ///
-    /// # Errors
-    ///
-    /// Connection failures, malformed responses and server-side errors.
-    pub fn ping(&self) -> Result<(), ClientError> {
-        self.connect()?.ping()
-    }
-
-    /// Fetches the server statistics.
-    ///
-    /// # Errors
-    ///
-    /// Connection failures, malformed responses and server-side errors.
-    pub fn stats(&self) -> Result<ServerStats, ClientError> {
-        self.connect()?.stats()
-    }
-
-    /// Fetches the server's full telemetry snapshot as structured data.
-    ///
-    /// # Errors
-    ///
-    /// Connection failures, malformed responses and server-side errors.
-    pub fn metrics(&self) -> Result<MetricsSnapshot, ClientError> {
-        self.connect()?.metrics()
-    }
-
-    /// Fetches the server's telemetry in the Prometheus text format.
-    ///
-    /// # Errors
-    ///
-    /// Connection failures, malformed responses and server-side errors.
-    pub fn metrics_text(&self) -> Result<String, ClientError> {
-        self.connect()?.metrics_text()
-    }
-
-    /// Fetches the spans the server's flight recorder retains for `id`.
-    ///
-    /// # Errors
-    ///
-    /// Connection failures, malformed responses and server-side errors.
-    pub fn trace_spans(&self, id: &str) -> Result<Vec<Span>, ClientError> {
-        self.connect()?.trace_spans(id)
-    }
-
-    /// Fetches the newest `last` samples of the server's metrics series ring.
-    ///
-    /// # Errors
-    ///
-    /// Connection failures, malformed responses and server-side errors.
-    pub fn series_samples(&self, last: u64) -> Result<Vec<SeriesSample>, ClientError> {
-        self.connect()?.series_samples(last)
-    }
-
-    /// Fetches the metrics delta across the server's trailing window.
-    ///
-    /// # Errors
-    ///
-    /// Connection failures, malformed responses and server-side errors.
-    pub fn series_delta(&self, window_us: u64) -> Result<SnapshotDelta, ClientError> {
-        self.connect()?.series_delta(window_us)
-    }
-
-    /// Fetches the server's per-shard anti-entropy digests.
-    ///
-    /// # Errors
-    ///
-    /// Connection failures, malformed responses and server-side errors.
-    pub fn digest(&self) -> Result<Vec<ShardDigest>, ClientError> {
-        self.connect()?.digest()
-    }
-
-    /// Fetches one page of a shard's canonical strings.
-    ///
-    /// # Errors
-    ///
-    /// Connection failures, malformed responses and server-side errors.
-    pub fn scan(
-        &self,
-        shard: u64,
-        offset: u64,
-        limit: u64,
-    ) -> Result<(Vec<String>, bool), ClientError> {
-        self.connect()?.scan(shard, offset, limit)
-    }
-
-    /// Asks the server to shut down gracefully.
+    /// Asks the server to shut down gracefully, over a fresh connection.
     ///
     /// # Errors
     ///
     /// Connection failures, malformed responses and server-side errors.
     pub fn shutdown(&self) -> Result<(), ClientError> {
         self.connect()?.shutdown()
-    }
-}
-
-/// Narrows a response to the `get` reply shapes.
-fn expect_get(response: Response) -> Result<Option<PointRecord>, ClientError> {
-    match response {
-        Response::Found { record } => Ok(Some(record)),
-        Response::NotFound => Ok(None),
-        Response::Error { message } => Err(ClientError::Server(message)),
-        other => Err(ClientError::Protocol(format!(
-            "unexpected response to get: {other:?}"
-        ))),
-    }
-}
-
-/// Narrows a response to the `mget` reply shape.
-fn expect_mget(response: Response) -> Result<Vec<Option<PointRecord>>, ClientError> {
-    match response {
-        Response::MultiGot { records } => Ok(records),
-        Response::Error { message } => Err(ClientError::Server(message)),
-        other => Err(ClientError::Protocol(format!(
-            "unexpected response to mget: {other:?}"
-        ))),
-    }
-}
-
-/// Narrows a response to the `explore` reply shape.
-fn expect_explore(response: Response) -> Result<ExploreReply, ClientError> {
-    match response {
-        Response::Explored {
-            records,
-            hits,
-            evaluated,
-        } => Ok(ExploreReply {
-            records,
-            hits,
-            evaluated,
-        }),
-        Response::Error { message } => Err(ClientError::Server(message)),
-        other => Err(ClientError::Protocol(format!(
-            "unexpected response to explore: {other:?}"
-        ))),
-    }
-}
-
-/// Narrows a response to the `mexplore` reply shape.
-fn expect_mexplore(response: Response) -> Result<MultiExploreReply, ClientError> {
-    match response {
-        Response::MultiExplored {
-            outcomes,
-            hits,
-            evaluated,
-        } => Ok(MultiExploreReply {
-            outcomes,
-            hits,
-            evaluated,
-        }),
-        Response::Error { message } => Err(ClientError::Server(message)),
-        other => Err(ClientError::Protocol(format!(
-            "unexpected response to mexplore: {other:?}"
-        ))),
-    }
-}
-
-/// Narrows a response to the `put` reply shape.
-fn expect_stored(response: Response) -> Result<u64, ClientError> {
-    match response {
-        Response::Stored { stored } => Ok(stored),
-        Response::Error { message } => Err(ClientError::Server(message)),
-        other => Err(ClientError::Protocol(format!(
-            "unexpected response to put: {other:?}"
-        ))),
-    }
-}
-
-/// Narrows a response to the `ping` acknowledgement.
-fn expect_pong(response: Response) -> Result<(), ClientError> {
-    match response {
-        Response::Pong => Ok(()),
-        Response::Error { message } => Err(ClientError::Server(message)),
-        other => Err(ClientError::Protocol(format!(
-            "unexpected response to ping: {other:?}"
-        ))),
-    }
-}
-
-/// Narrows a response to the `stats` reply shape.
-fn expect_stats(response: Response) -> Result<ServerStats, ClientError> {
-    match response {
-        Response::Stats(stats) => Ok(stats),
-        Response::Error { message } => Err(ClientError::Server(message)),
-        other => Err(ClientError::Protocol(format!(
-            "unexpected response to stats: {other:?}"
-        ))),
-    }
-}
-
-/// Narrows a response to the structured `metrics` reply shape.
-fn expect_metrics(response: Response) -> Result<MetricsSnapshot, ClientError> {
-    match response {
-        Response::Metrics(snapshot) => Ok(snapshot),
-        Response::Error { message } => Err(ClientError::Server(message)),
-        other => Err(ClientError::Protocol(format!(
-            "unexpected response to metrics: {other:?}"
-        ))),
-    }
-}
-
-/// Narrows a response to the Prometheus-text `metrics` reply shape.
-fn expect_metrics_text(response: Response) -> Result<String, ClientError> {
-    match response {
-        Response::MetricsText { text } => Ok(text),
-        Response::Error { message } => Err(ClientError::Server(message)),
-        other => Err(ClientError::Protocol(format!(
-            "unexpected response to metrics: {other:?}"
-        ))),
-    }
-}
-
-/// Narrows a response to the `trace` reply shape.
-fn expect_traced(response: Response) -> Result<Vec<Span>, ClientError> {
-    match response {
-        Response::Traced { spans } => Ok(spans),
-        Response::Error { message } => Err(ClientError::Server(message)),
-        other => Err(ClientError::Protocol(format!(
-            "unexpected response to trace: {other:?}"
-        ))),
-    }
-}
-
-/// Narrows a response to the sample-mode `series` reply shape.
-fn expect_series(response: Response) -> Result<Vec<SeriesSample>, ClientError> {
-    match response {
-        Response::Series { samples } => Ok(samples),
-        Response::Error { message } => Err(ClientError::Server(message)),
-        other => Err(ClientError::Protocol(format!(
-            "unexpected response to series: {other:?}"
-        ))),
-    }
-}
-
-/// Narrows a response to the window-mode `series` reply shape.
-fn expect_series_delta(response: Response) -> Result<SnapshotDelta, ClientError> {
-    match response {
-        Response::SeriesDelta { delta } => Ok(delta),
-        Response::Error { message } => Err(ClientError::Server(message)),
-        other => Err(ClientError::Protocol(format!(
-            "unexpected response to series: {other:?}"
-        ))),
-    }
-}
-
-/// Narrows a response to the `digest` reply shape.
-fn expect_digests(response: Response) -> Result<Vec<ShardDigest>, ClientError> {
-    match response {
-        Response::Digests { digests } => Ok(digests),
-        Response::Error { message } => Err(ClientError::Server(message)),
-        other => Err(ClientError::Protocol(format!(
-            "unexpected response to digest: {other:?}"
-        ))),
-    }
-}
-
-/// Narrows a response to the `scan` reply shape.
-fn expect_scanned(response: Response) -> Result<(Vec<String>, bool), ClientError> {
-    match response {
-        Response::Scanned { canonicals, done } => Ok((canonicals, done)),
-        Response::Error { message } => Err(ClientError::Server(message)),
-        other => Err(ClientError::Protocol(format!(
-            "unexpected response to scan: {other:?}"
-        ))),
-    }
-}
-
-/// Narrows a response to the `shutdown` acknowledgement.
-fn expect_shutdown(response: Response) -> Result<(), ClientError> {
-    match response {
-        Response::ShuttingDown => Ok(()),
-        Response::Error { message } => Err(ClientError::Server(message)),
-        other => Err(ClientError::Protocol(format!(
-            "unexpected response to shutdown: {other:?}"
-        ))),
     }
 }

@@ -48,16 +48,18 @@
 //!
 //! The wire protocol is specified in `docs/serving.md`; [`Request`] /
 //! [`Response`] are its single shape definition, with the JSON encoding in
-//! this crate's `json`/`protocol` modules and the binary encoding in
-//! `binary` (over the [`srra_explore::WireSerde`] trait).  [`Connection`]
-//! is the keep-alive, pipelining client used on hot paths
-//! ([`Connection::connect_binary`] for the binary codec); [`Client`] is the
-//! one-shot wrapper around it.
+//! this crate's `protocol` module (over the workspace's one JSON parser,
+//! [`JsonValue`], which lives in [`srra_explore::json`]) and the binary
+//! encoding in `binary` (over the [`srra_explore::WireSerde`] trait).
+//! [`Connection`] is the client: keep-alive, pipelining, one typed method
+//! per op ([`Connection::connect_binary`] for the binary codec).  [`Client`]
+//! is an address handle that opens connections and sends the one-shot
+//! `shutdown`.
 //!
 //! # Quickstart
 //!
 //! ```
-//! use srra_serve::{Client, QueryPoint, Server, ServerConfig};
+//! use srra_serve::{Connection, QueryPoint, Server, ServerConfig};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let dir = std::env::temp_dir().join(format!("srra-serve-doc-{}", std::process::id()));
@@ -66,11 +68,12 @@
 //! let addr = server.local_addr();
 //! let handle = std::thread::spawn(move || server.run());
 //!
-//! let client = Client::new(addr.to_string());
-//! let reply = client.explore(&[QueryPoint::new("fir", "cpa", 32)])?;
+//! let mut connection = Connection::connect(&addr.to_string())?;
+//! let reply = connection.explore(&[QueryPoint::new("fir", "cpa", 32)])?;
 //! assert_eq!(reply.records.len(), 1);
 //! assert_eq!(reply.evaluated, 1, "cold shard: the miss is evaluated");
-//! client.shutdown()?;
+//! connection.shutdown()?;
+//! drop(connection); // the server drains open connections before it exits
 //! handle.join().expect("server thread")?;
 //! # std::fs::remove_dir_all(&dir)?;
 //! # Ok(())
@@ -82,7 +85,6 @@
 
 mod binary;
 mod client;
-mod json;
 mod protocol;
 mod server;
 mod shard;
@@ -92,13 +94,13 @@ pub use binary::{
     BINARY_MAGIC, MAX_FRAME_LEN,
 };
 pub use client::{Client, ClientError, Connection, ExploreReply, MultiExploreReply};
-pub use json::JsonValue;
 pub use protocol::{
     stamp_trace, trace_suffix, valid_trace_id, OpStats, PointOutcome, QueryPoint, Request,
     Response, ServerStats, ShardDigest, TRACE_MAX_LEN,
 };
 pub use server::{canonical_for, device_by_name, ServeError, Server, ServerConfig, ServerReport};
 pub use shard::{CompactOutcome, MergeOutcome, ShardError, ShardedStore};
+pub use srra_explore::{render_string, JsonValue};
 
 // The span type rides on `trace` replies, and the series types on `series`
 // replies; re-exported so serve-layer callers need not depend on `srra_obs`

@@ -20,13 +20,11 @@
 //! hot `get`/`explore` reply path allocates nothing beyond the record
 //! lookup itself and the buffer's own growth.
 
-use srra_explore::PointRecord;
+use srra_explore::{render_string, JsonValue, PointRecord};
 use srra_obs::{
     valid_metric_name, HistogramSnapshot, MetricsSnapshot, SeriesSample, SnapshotDelta, Span,
     LATENCY_BUCKETS,
 };
-
-use crate::json::{render_string, JsonValue};
 
 /// Longest accepted `trace` id, in bytes.
 pub const TRACE_MAX_LEN: usize = 64;
@@ -212,6 +210,19 @@ pub(crate) fn render_points_request(out: &mut String, op: &str, points: &[QueryP
     out.push('}');
 }
 
+/// Fast path for the hot `get` line exactly as [`render_get_request`] frames
+/// it, given the line without its closing `}` (and without a stamped trace
+/// id).  `None` — a canonical containing quotes or escapes, or any other
+/// line — falls back to the general parser.
+fn parse_plain_get(body: &str) -> Option<Request> {
+    let text = body
+        .strip_prefix("{\"op\":\"get\",\"canonical\":\"")?
+        .strip_suffix('"')?;
+    (!text.contains('\\') && !text.contains('"')).then(|| Request::Get {
+        canonical: text.to_owned(),
+    })
+}
+
 /// Parses the non-empty `points` array shared by `explore` and `mexplore`.
 fn parse_points(value: &JsonValue, op: &str) -> Result<Vec<QueryPoint>, String> {
     let items = value
@@ -375,17 +386,8 @@ impl Request {
     /// Returns a user-facing description of the first problem (malformed JSON,
     /// unknown op, missing fields).
     pub fn parse(line: &str) -> Result<Self, String> {
-        // Fast path for the hot `get` line exactly as [`Request::render`]
-        // frames it.  A canonical containing quotes or escapes falls back to
-        // the general parser below.
-        if let Some(rest) = line.strip_prefix("{\"op\":\"get\",\"canonical\":\"") {
-            if let Some(text) = rest.strip_suffix("\"}") {
-                if !text.contains('\\') && !text.contains('"') {
-                    return Ok(Request::Get {
-                        canonical: text.to_owned(),
-                    });
-                }
-            }
+        if let Some(request) = line.strip_suffix('}').and_then(parse_plain_get) {
+            return Ok(request);
         }
         let value = JsonValue::parse(line)?;
         let op = value
@@ -434,7 +436,7 @@ impl Request {
                 }
                 let records = items
                     .iter()
-                    .map(record_from_value)
+                    .map(PointRecord::from_json_value)
                     .collect::<Result<Vec<_>, _>>()?;
                 Ok(Request::Put { records })
             }
@@ -522,18 +524,8 @@ impl Request {
         };
         let trace = Some(id.to_owned());
         let body = &line[..start];
-        // Traced twin of the hot `get` fast path in [`Request::parse`].
-        if let Some(text) = body.strip_prefix("{\"op\":\"get\",\"canonical\":\"") {
-            if let Some(text) = text.strip_suffix('"') {
-                if !text.contains('\\') && !text.contains('"') {
-                    return Ok((
-                        Request::Get {
-                            canonical: text.to_owned(),
-                        },
-                        trace,
-                    ));
-                }
-            }
+        if let Some(request) = parse_plain_get(body) {
+            return Ok((request, trace));
         }
         let mut stripped = String::with_capacity(body.len() + 1);
         stripped.push_str(body);
@@ -872,13 +864,6 @@ pub enum Response {
     },
 }
 
-/// Decodes a [`PointRecord`] from a parsed JSON object by re-rendering it as
-/// a JSONL line.  Numbers keep their raw source text, so the round trip is
-/// bit-exact for the f64 fields.
-fn record_from_value(value: &JsonValue) -> Result<PointRecord, String> {
-    PointRecord::from_json_line(&value.render())
-}
-
 impl Response {
     /// Encodes the response as one JSON line (no trailing newline).
     pub fn render(&self) -> String {
@@ -1061,17 +1046,6 @@ impl Response {
     /// Returns a description of the first problem (malformed JSON or an
     /// unrecognised shape).
     pub fn parse(line: &str) -> Result<Self, String> {
-        // Fast path for the hot `get` hit reply exactly as
-        // [`Response::render`] frames it: one flat parse of the embedded
-        // record instead of a JSON tree plus a re-render plus a second
-        // parse.  Any other framing falls back to the general parser below.
-        if let Some(rest) = line.strip_prefix("{\"ok\":true,\"found\":true,\"record\":") {
-            if let Some(record_text) = rest.strip_suffix('}') {
-                if let Ok(record) = PointRecord::from_json_line(record_text) {
-                    return Ok(Response::Found { record });
-                }
-            }
-        }
         let value = JsonValue::parse(line)?;
         let ok = value
             .get("ok")
@@ -1089,7 +1063,7 @@ impl Response {
         if let Some(found) = value.get("found").and_then(JsonValue::as_bool) {
             return if found {
                 Ok(Response::Found {
-                    record: record_from_value(
+                    record: PointRecord::from_json_value(
                         value
                             .get("record")
                             .ok_or("`found` response lacks `record`")?,
@@ -1104,7 +1078,7 @@ impl Response {
                 .iter()
                 .map(|item| match item {
                     JsonValue::Null => Ok(None),
-                    other => record_from_value(other).map(Some),
+                    other => PointRecord::from_json_value(other).map(Some),
                 })
                 .collect::<Result<Vec<_>, String>>()?;
             return Ok(Response::MultiGot { records });
@@ -1122,7 +1096,7 @@ impl Response {
                         .get("hit")
                         .and_then(JsonValue::as_bool)
                         .ok_or("outcome needs a boolean `hit` field")?;
-                    let record = record_from_value(
+                    let record = PointRecord::from_json_value(
                         item.get("record").ok_or("outcome lacks a `record` field")?,
                     )?;
                     Ok(PointOutcome::Answered { record, hit })
@@ -1138,7 +1112,7 @@ impl Response {
         if let Some(items) = value.get("records").and_then(JsonValue::as_array) {
             let records = items
                 .iter()
-                .map(record_from_value)
+                .map(PointRecord::from_json_value)
                 .collect::<Result<Vec<_>, _>>()?;
             let (hits, evaluated) = parse_hits_evaluated(&value, "explore")?;
             return Ok(Response::Explored {

@@ -12,7 +12,7 @@ use srra_core::AllocatorRegistry;
 use srra_explore::{evaluate_point, DesignPoint, PointRecord};
 use srra_fpga::DeviceModel;
 use srra_kernels::paper_suite;
-use srra_serve::{Client, QueryPoint, Server, ServerConfig};
+use srra_serve::{Client, Connection, QueryPoint, Server, ServerConfig};
 
 fn scratch_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("srra-serve-conc-{tag}-{}", std::process::id()));
@@ -88,16 +88,18 @@ fn concurrent_mixed_workload_is_correct_and_evaluates_each_miss_once() {
             let addr = addr.clone();
             let points = points.clone();
             handles.push(scope.spawn(move || {
-                let client = Client::new(addr);
+                // A fresh connection per request: connection setup races
+                // the other clients' requests too.
+                let explore = |points: &[QueryPoint]| {
+                    Connection::connect(&addr).and_then(|mut connection| connection.explore(points))
+                };
                 if client_index % 2 == 0 {
-                    let reply = client.explore(&points).expect("batch explore");
-                    reply.records
+                    explore(&points).expect("batch explore").records
                 } else {
                     points
                         .iter()
                         .map(|point| {
-                            client
-                                .explore(std::slice::from_ref(point))
+                            explore(std::slice::from_ref(point))
                                 .expect("single-point explore")
                                 .records
                                 .remove(0)
@@ -137,8 +139,9 @@ fn concurrent_mixed_workload_is_correct_and_evaluates_each_miss_once() {
         analyses_by_server, 2,
         "the server must analyse each of the two kernels exactly once"
     );
-    let client = Client::new(addr.clone());
-    let stats = client.stats().expect("stats");
+    let stats = Connection::connect(&addr)
+        .and_then(|mut connection| connection.stats())
+        .expect("stats");
     assert_eq!(
         stats.evaluated, distinct as u64,
         "each distinct miss is evaluated exactly once across all clients"
@@ -151,7 +154,7 @@ fn concurrent_mixed_workload_is_correct_and_evaluates_each_miss_once() {
     assert_eq!(stats.records(), distinct);
     assert_eq!(stats.shard_records.len(), 4);
 
-    client.shutdown().expect("graceful shutdown");
+    Client::new(addr).shutdown().expect("graceful shutdown");
     let report = handle.join().expect("server thread");
     assert_eq!(report.stats.evaluated, distinct as u64);
 
@@ -175,8 +178,8 @@ fn concurrent_mixed_workload_is_correct_and_evaluates_each_miss_once() {
     .expect("warm server binds");
     let warm_addr = warm.local_addr().to_string();
     let warm_handle = std::thread::spawn(move || warm.run().expect("warm server runs"));
-    let warm_client = Client::new(warm_addr);
-    let reply = warm_client.explore(&points).expect("warm explore");
+    let mut warm_connection = Connection::connect(&warm_addr).expect("connects");
+    let reply = warm_connection.explore(&points).expect("warm explore");
     assert_eq!(reply.evaluated, 0, "warm shards answer everything");
     assert_eq!(reply.hits, points.len() as u64);
     for record in &reply.records {
@@ -185,7 +188,7 @@ fn concurrent_mixed_workload_is_correct_and_evaluates_each_miss_once() {
             truth[&record.canonical].to_json_line()
         );
     }
-    warm_client.shutdown().expect("warm shutdown");
+    warm_connection.shutdown().expect("warm shutdown");
     warm_handle.join().expect("warm server thread");
 
     std::fs::remove_dir_all(&dir).unwrap();
@@ -197,7 +200,7 @@ fn get_round_trip_and_error_paths_over_the_wire() {
     let server = Server::bind(&ServerConfig::ephemeral(&dir)).expect("server binds");
     let addr = server.local_addr().to_string();
     let handle = std::thread::spawn(move || server.run().expect("server runs"));
-    let client = Client::new(addr);
+    let mut client = Connection::connect(&addr).expect("connects");
 
     let point = QueryPoint::new("fir", "cpa", 32);
     let canonical = srra_serve::canonical_for(&point).unwrap();
@@ -220,6 +223,11 @@ fn get_round_trip_and_error_paths_over_the_wire() {
     unknown = QueryPoint::new("fir", "zzz", 32);
     let err = client.explore(std::slice::from_ref(&unknown)).unwrap_err();
     assert!(err.to_string().contains("unknown algorithm"));
+
+    // Per-op stats account the lookups and the explores, failed ones too.
+    let stats = client.stats().expect("stats");
+    assert_eq!(stats.op("get").expect("get accounted").count, 2);
+    assert_eq!(stats.op("explore").expect("explore accounted").count, 3);
 
     client.shutdown().expect("shutdown");
     handle.join().expect("server thread");

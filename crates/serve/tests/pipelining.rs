@@ -9,8 +9,7 @@ use std::net::TcpStream;
 use std::path::PathBuf;
 
 use srra_serve::{
-    canonical_for, Client, Connection, PointOutcome, QueryPoint, Request, Response, Server,
-    ServerConfig,
+    canonical_for, Connection, PointOutcome, QueryPoint, Request, Response, Server, ServerConfig,
 };
 
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -46,8 +45,10 @@ fn pipelined_replies_preserve_order_and_match_one_shot_bytes() {
 
     // Warm the shards through one-shot requests and capture the ground-truth
     // reply line of every request we are about to pipeline.
-    let one_shot = Client::new(addr.clone());
-    one_shot.explore(&points()).expect("warm-up explore");
+    let one_shot = |request: &Request| {
+        Connection::connect(&addr).and_then(|mut connection| connection.roundtrip(request))
+    };
+    one_shot(&Request::Explore { points: points() }).expect("warm-up explore");
 
     // An interleaved request schedule: get / single-point explore / stats
     // shapes, repeated — 36 requests on one connection, written before any
@@ -68,12 +69,7 @@ fn pipelined_replies_preserve_order_and_match_one_shot_bytes() {
     }
     let expected: Vec<String> = requests
         .iter()
-        .map(|request| {
-            one_shot
-                .roundtrip(request)
-                .expect("one-shot roundtrip")
-                .render()
-        })
+        .map(|request| one_shot(request).expect("one-shot roundtrip").render())
         .collect();
 
     // Write ALL the request lines raw on one socket before reading anything,
@@ -117,9 +113,21 @@ fn pipelined_replies_preserve_order_and_match_one_shot_bytes() {
 
 #[test]
 fn mget_and_mexplore_round_trip_over_the_wire() {
-    let dir = scratch_dir("batched");
+    // Both codecs, each against its own cold server.
+    for binary in [false, true] {
+        mget_and_mexplore_round_trip(binary);
+    }
+}
+
+fn mget_and_mexplore_round_trip(binary: bool) {
+    let dir = scratch_dir(if binary { "batched-binary" } else { "batched" });
     let (addr, handle) = start_server(&dir);
-    let mut connection = Connection::connect(&addr).expect("connects");
+    let mut connection = if binary {
+        Connection::connect_binary(&addr)
+    } else {
+        Connection::connect(&addr)
+    }
+    .expect("connects");
 
     let workload = points();
     let canonicals: Vec<String> = workload

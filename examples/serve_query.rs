@@ -14,7 +14,7 @@
 //! server side of this example is `srra serve --cache-dir <dir>` and the
 //! client side is `srra query --addr <host:port> ...`.
 
-use srra_serve::{Client, QueryPoint, Server, ServerConfig};
+use srra_serve::{Client, Connection, QueryPoint, Server, ServerConfig};
 
 fn workload() -> Vec<QueryPoint> {
     let mut points = Vec::new();
@@ -48,8 +48,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     let addr = addr.clone();
                     let points = points.clone();
                     scope.spawn(move || {
-                        let reply = Client::new(addr)
-                            .explore(&points)
+                        let reply = Connection::connect(&addr)
+                            .and_then(|mut connection| connection.explore(&points))
                             .expect("explore succeeds");
                         (reply.hits, reply.evaluated)
                     })
@@ -83,9 +83,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         got.iter().filter(|record| record.is_some()).count(),
         points.len()
     );
+    let stats = connection.stats()?;
     drop(connection); // Close the keep-alive socket before asking for shutdown.
 
-    let stats = client.stats()?;
     println!(
         "\nserver stats: {} requests, {} hits, {} evaluated; shard records {:?}",
         stats.requests, stats.hits, stats.evaluated, stats.shard_records

@@ -151,20 +151,22 @@ impl PointRecord {
                 .as_bool()
                 .ok_or_else(|| format!("field `{name}` is not a boolean"))
         };
-        fn number<T: std::str::FromStr>(value: &JsonValue, name: &str) -> Result<T, String>
-        where
-            T::Err: std::fmt::Display,
-        {
-            match value.get(name) {
-                Some(JsonValue::Number(raw)) => {
-                    raw.parse().map_err(|e| format!("field `{name}`: {e}"))
-                }
-                Some(_) => Err(format!("field `{name}` is not a number")),
-                None => Err(format!("missing field `{name}`")),
+        let raw_number = |name: &str| -> Result<&str, String> {
+            match field(name)? {
+                JsonValue::Number(raw) => Ok(raw),
+                _ => Err(format!("field `{name}` is not a number")),
             }
-        }
-        let num = |name: &str| number::<u64>(value, name);
-        let float = |name: &str| number::<f64>(value, name);
+        };
+        let num = |name: &str| -> Result<u64, String> {
+            raw_number(name)?
+                .parse()
+                .map_err(|e| format!("field `{name}`: {e}"))
+        };
+        let float = |name: &str| -> Result<f64, String> {
+            raw_number(name)?
+                .parse()
+                .map_err(|e| format!("field `{name}`: {e}"))
+        };
         let key_text = text("key")?;
         let key_digits = key_text
             .strip_prefix("0x")

@@ -31,7 +31,7 @@
 //! known, so the stream never desyncs (mirroring the JSON contract where a
 //! malformed line still produces exactly one reply line).
 
-use std::io::{Read, Write};
+use std::io::Read;
 
 use srra_explore::codec::{read_len, write_seq, write_seq_len, write_str, WireError, WireSerde};
 use srra_explore::PointRecord;
@@ -178,13 +178,16 @@ pub fn encode_response_frame(
 /// three writers below are each op's one binary request layout: the owned
 /// [`Request`] encoding and the client's borrowed, no-clone encoding both
 /// call them, the way the JSON side shares `render_*_request`.
-pub(crate) fn write_get(out: &mut impl Write, canonical: &str) -> Result<(), WireError> {
+pub(crate) fn write_get(out: &mut impl std::io::Write, canonical: &str) -> Result<(), WireError> {
     TAG_GET.serialize_into(out)?;
     write_str(out, canonical)
 }
 
 /// Writes an `mget` request body from borrowed canonicals.
-pub(crate) fn write_mget(out: &mut impl Write, canonicals: &[String]) -> Result<(), WireError> {
+pub(crate) fn write_mget(
+    out: &mut impl std::io::Write,
+    canonicals: &[String],
+) -> Result<(), WireError> {
     TAG_MGET.serialize_into(out)?;
     write_seq(out, canonicals)
 }
@@ -192,7 +195,7 @@ pub(crate) fn write_mget(out: &mut impl Write, canonicals: &[String]) -> Result<
 /// Writes an `explore` (or, with `multi`, `mexplore`) request body from
 /// borrowed points.
 pub(crate) fn write_points(
-    out: &mut impl Write,
+    out: &mut impl std::io::Write,
     multi: bool,
     points: &[QueryPoint],
 ) -> Result<(), WireError> {
@@ -201,7 +204,10 @@ pub(crate) fn write_points(
 }
 
 /// Writes a `put` request body from borrowed records.
-pub(crate) fn write_put(out: &mut impl Write, records: &[PointRecord]) -> Result<(), WireError> {
+pub(crate) fn write_put(
+    out: &mut impl std::io::Write,
+    records: &[PointRecord],
+) -> Result<(), WireError> {
     TAG_PUT.serialize_into(out)?;
     write_seq(out, records)
 }
@@ -255,7 +261,7 @@ const TAG_SCAN: u8 = 12;
 const TAG_SERIES: u8 = 13;
 
 impl WireSerde for QueryPoint {
-    fn serialize_into(&self, out: &mut impl Write) -> Result<(), WireError> {
+    fn serialize_into(&self, out: &mut impl std::io::Write) -> Result<(), WireError> {
         write_str(out, &self.kernel)?;
         write_str(out, &self.algorithm)?;
         self.budget.serialize_into(out)?;
@@ -275,7 +281,7 @@ impl WireSerde for QueryPoint {
 }
 
 impl WireSerde for Request {
-    fn serialize_into(&self, out: &mut impl Write) -> Result<(), WireError> {
+    fn serialize_into(&self, out: &mut impl std::io::Write) -> Result<(), WireError> {
         match self {
             Request::Get { canonical } => write_get(out, canonical),
             Request::MultiGet { canonicals } => write_mget(out, canonicals),
@@ -400,7 +406,7 @@ impl WireSerde for Request {
 }
 
 impl WireSerde for PointOutcome {
-    fn serialize_into(&self, out: &mut impl Write) -> Result<(), WireError> {
+    fn serialize_into(&self, out: &mut impl std::io::Write) -> Result<(), WireError> {
         match self {
             PointOutcome::Answered { record, hit } => {
                 0u8.serialize_into(out)?;
@@ -431,7 +437,7 @@ impl WireSerde for PointOutcome {
 }
 
 impl WireSerde for OpStats {
-    fn serialize_into(&self, out: &mut impl Write) -> Result<(), WireError> {
+    fn serialize_into(&self, out: &mut impl std::io::Write) -> Result<(), WireError> {
         write_str(out, &self.op)?;
         self.count.serialize_into(out)?;
         self.p50_us.serialize_into(out)?;
@@ -449,7 +455,7 @@ impl WireSerde for OpStats {
 }
 
 impl WireSerde for ServerStats {
-    fn serialize_into(&self, out: &mut impl Write) -> Result<(), WireError> {
+    fn serialize_into(&self, out: &mut impl std::io::Write) -> Result<(), WireError> {
         self.uptime_ms.serialize_into(out)?;
         self.uptime_secs.serialize_into(out)?;
         write_str(out, &self.version)?;
@@ -496,7 +502,10 @@ impl WireSerde for ServerStats {
 // `WireSerde` (from `srra_explore`) cannot be implemented for the foreign
 // `MetricsSnapshot` (from `srra_obs`) — orphan rule — so the snapshot
 // encoding lives in a pair of free functions.
-fn write_snapshot(out: &mut impl Write, snapshot: &MetricsSnapshot) -> Result<(), WireError> {
+fn write_snapshot(
+    out: &mut impl std::io::Write,
+    snapshot: &MetricsSnapshot,
+) -> Result<(), WireError> {
     write_seq_len(out, snapshot.counters.len())?;
     for (name, count) in &snapshot.counters {
         write_str(out, name)?;
@@ -570,7 +579,7 @@ fn read_snapshot(reader: &mut impl Read) -> Result<MetricsSnapshot, WireError> {
 
 /// Encodes one [`Span`] (a foreign `srra_obs` type — orphan rule, same
 /// pattern as the snapshot pair above).
-fn write_span(out: &mut impl Write, span: &Span) -> Result<(), WireError> {
+fn write_span(out: &mut impl std::io::Write, span: &Span) -> Result<(), WireError> {
     write_str(out, &span.trace_id)?;
     span.span_id.serialize_into(out)?;
     span.parent_id.serialize_into(out)?;
@@ -630,7 +639,7 @@ const RESP_SERIES: u8 = 16;
 const RESP_DELTA: u8 = 17;
 
 impl WireSerde for ShardDigest {
-    fn serialize_into(&self, out: &mut impl Write) -> Result<(), WireError> {
+    fn serialize_into(&self, out: &mut impl std::io::Write) -> Result<(), WireError> {
         self.records.serialize_into(out)?;
         self.fold.serialize_into(out)
     }
@@ -644,7 +653,7 @@ impl WireSerde for ShardDigest {
 }
 
 impl WireSerde for Response {
-    fn serialize_into(&self, out: &mut impl Write) -> Result<(), WireError> {
+    fn serialize_into(&self, out: &mut impl std::io::Write) -> Result<(), WireError> {
         match self {
             Response::Found { record } => {
                 RESP_FOUND.serialize_into(out)?;

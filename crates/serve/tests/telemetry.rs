@@ -258,6 +258,15 @@ fn sampler_feeds_the_series_op_and_tight_slos_breach() {
     let handle = std::thread::spawn(move || server.run().expect("server run"));
 
     let mut connection = Connection::connect(&addr).expect("connect");
+    // Windows are deltas between samples: traffic sent before the sampler's
+    // first tick sits in every sample and never shows in a window.  Wait,
+    // bounded, for that tick.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+    while connection.series_samples(1).expect("series").is_empty()
+        && std::time::Instant::now() < deadline
+    {
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
     // A cold mexplore records a latency far above 1us, arming the SLO.
     let explored = connection
         .mexplore(&[QueryPoint::new("fir", "cpa", 32)])

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI gate for the srra workspace:
-#   1. formatting          (cargo fmt --check)
-#   2. lints as errors     (cargo clippy --workspace -- -D warnings)
+#   1. formatting          (cargo fmt --check, workspace and perfbench)
+#   2. lints as errors     (cargo clippy -- -D warnings, workspace and
+#                           perfbench)
 #   3. doc warnings as errors (RUSTDOCFLAGS="-D warnings" cargo doc --no-deps)
 #   4. tier-1 verification (cargo build --release && cargo test -q), then
 #      the benchmark smoke test (perfbench builds against the workspace
@@ -38,6 +39,14 @@ cargo fmt --check
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+# perfbench is a standalone package outside the workspace (see
+# perfbench/README.md), so the two steps above never see it.
+echo "==> cargo fmt --check (perfbench)"
+cargo fmt --check --manifest-path perfbench/Cargo.toml
+
+echo "==> cargo clippy (perfbench) -- -D warnings"
+cargo clippy --release --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
 
 echo '==> RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps'
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet

@@ -22,9 +22,11 @@
 //! * `trace` is the optional trace id (see [`crate::valid_trace_id`]),
 //!   echoed verbatim on the reply frame — the binary twin of the JSON
 //!   `"trace"` member; `trace_len` 0 means untraced.
-//! * `body` is the [`WireSerde`] encoding of the request or response: a
-//!   one-byte variant tag followed by the variant's fields in declaration
-//!   order, built from the primitives in [`srra_explore::codec`].
+//! * `body` is the request or response: a one-byte tag from the op table
+//!   (`OPS` / `REPLIES` in `protocol`) followed by the variant's fields in
+//!   the order `Request::encode` / `Response::encode` list them, built from
+//!   the primitives in [`srra_explore::codec`].  The JSON codec runs the
+//!   same encode and decode arms, so the two codecs carry the same fields.
 //!
 //! A payload that fails to decode is answered with a [`Response::Error`]
 //! frame and the connection *stays open* — the frame boundary was already
@@ -33,15 +35,9 @@
 
 use std::io::Read;
 
-use srra_explore::codec::{read_len, write_seq, write_seq_len, write_str, WireError, WireSerde};
-use srra_explore::PointRecord;
-use srra_obs::{
-    valid_metric_name, HistogramSnapshot, MetricsSnapshot, SeriesSample, SnapshotDelta, Span,
-};
+use srra_explore::codec::{WireError, WireSerde};
 
-use crate::protocol::{
-    valid_trace_id, OpStats, PointOutcome, QueryPoint, Request, Response, ServerStats, ShardDigest,
-};
+use crate::protocol::{valid_trace_id, Request, Response};
 
 /// First byte of every binary frame.  `0xB1` can never open a JSON request
 /// (those start with `{`, whitespace or nothing), so one peeked byte decides
@@ -174,44 +170,6 @@ pub fn encode_response_frame(
     frame_into(out, trace, |buf| response.serialize_into(buf))
 }
 
-/// Writes a `get` request body from a borrowed canonical.  This and the
-/// three writers below are each op's one binary request layout: the owned
-/// [`Request`] encoding and the client's borrowed, no-clone encoding both
-/// call them, the way the JSON side shares `render_*_request`.
-pub(crate) fn write_get(out: &mut impl std::io::Write, canonical: &str) -> Result<(), WireError> {
-    TAG_GET.serialize_into(out)?;
-    write_str(out, canonical)
-}
-
-/// Writes an `mget` request body from borrowed canonicals.
-pub(crate) fn write_mget(
-    out: &mut impl std::io::Write,
-    canonicals: &[String],
-) -> Result<(), WireError> {
-    TAG_MGET.serialize_into(out)?;
-    write_seq(out, canonicals)
-}
-
-/// Writes an `explore` (or, with `multi`, `mexplore`) request body from
-/// borrowed points.
-pub(crate) fn write_points(
-    out: &mut impl std::io::Write,
-    multi: bool,
-    points: &[QueryPoint],
-) -> Result<(), WireError> {
-    if multi { TAG_MEXPLORE } else { TAG_EXPLORE }.serialize_into(out)?;
-    write_seq(out, points)
-}
-
-/// Writes a `put` request body from borrowed records.
-pub(crate) fn write_put(
-    out: &mut impl std::io::Write,
-    records: &[PointRecord],
-) -> Result<(), WireError> {
-    TAG_PUT.serialize_into(out)?;
-    write_seq(out, records)
-}
-
 /// Decodes a frame payload (trace prefix + tagged body), requiring every
 /// byte to be consumed.
 ///
@@ -246,573 +204,6 @@ pub fn decode_payload<T: WireSerde>(payload: &[u8]) -> Result<(T, Option<String>
     Ok((value, trace))
 }
 
-const TAG_GET: u8 = 1;
-const TAG_MGET: u8 = 2;
-const TAG_EXPLORE: u8 = 3;
-const TAG_MEXPLORE: u8 = 4;
-const TAG_PUT: u8 = 5;
-const TAG_PING: u8 = 6;
-const TAG_STATS: u8 = 7;
-const TAG_METRICS: u8 = 8;
-const TAG_SHUTDOWN: u8 = 9;
-const TAG_TRACE: u8 = 10;
-const TAG_DIGEST: u8 = 11;
-const TAG_SCAN: u8 = 12;
-const TAG_SERIES: u8 = 13;
-
-impl WireSerde for QueryPoint {
-    fn serialize_into(&self, out: &mut impl std::io::Write) -> Result<(), WireError> {
-        write_str(out, &self.kernel)?;
-        write_str(out, &self.algorithm)?;
-        self.budget.serialize_into(out)?;
-        self.ram_latency.serialize_into(out)?;
-        write_str(out, &self.device)
-    }
-
-    fn deserialize_from(reader: &mut impl Read) -> Result<Self, WireError> {
-        Ok(Self {
-            kernel: String::deserialize_from(reader)?,
-            algorithm: String::deserialize_from(reader)?,
-            budget: u64::deserialize_from(reader)?,
-            ram_latency: u64::deserialize_from(reader)?,
-            device: String::deserialize_from(reader)?,
-        })
-    }
-}
-
-impl WireSerde for Request {
-    fn serialize_into(&self, out: &mut impl std::io::Write) -> Result<(), WireError> {
-        match self {
-            Request::Get { canonical } => write_get(out, canonical),
-            Request::MultiGet { canonicals } => write_mget(out, canonicals),
-            Request::Explore { points } => write_points(out, false, points),
-            Request::MultiExplore { points } => write_points(out, true, points),
-            Request::Put { records } => write_put(out, records),
-            Request::Ping => TAG_PING.serialize_into(out),
-            Request::Stats => TAG_STATS.serialize_into(out),
-            Request::Metrics { prometheus } => {
-                TAG_METRICS.serialize_into(out)?;
-                prometheus.serialize_into(out)
-            }
-            Request::Trace { id } => {
-                TAG_TRACE.serialize_into(out)?;
-                write_str(out, id)
-            }
-            Request::Series { last, window_us } => {
-                TAG_SERIES.serialize_into(out)?;
-                last.serialize_into(out)?;
-                window_us.serialize_into(out)
-            }
-            Request::Digest => TAG_DIGEST.serialize_into(out),
-            Request::Scan {
-                shard,
-                offset,
-                limit,
-            } => {
-                TAG_SCAN.serialize_into(out)?;
-                shard.serialize_into(out)?;
-                offset.serialize_into(out)?;
-                limit.serialize_into(out)
-            }
-            Request::Shutdown => TAG_SHUTDOWN.serialize_into(out),
-        }
-    }
-
-    fn deserialize_from(reader: &mut impl Read) -> Result<Self, WireError> {
-        match u8::deserialize_from(reader)? {
-            TAG_GET => Ok(Request::Get {
-                canonical: String::deserialize_from(reader)?,
-            }),
-            TAG_MGET => {
-                let canonicals = Vec::<String>::deserialize_from(reader)?;
-                if canonicals.is_empty() {
-                    return Err(WireError::Corrupt(
-                        "`mget` needs at least one canonical".to_owned(),
-                    ));
-                }
-                Ok(Request::MultiGet { canonicals })
-            }
-            TAG_EXPLORE => {
-                let points = Vec::<QueryPoint>::deserialize_from(reader)?;
-                if points.is_empty() {
-                    return Err(WireError::Corrupt(
-                        "`explore` needs at least one point".to_owned(),
-                    ));
-                }
-                Ok(Request::Explore { points })
-            }
-            TAG_MEXPLORE => {
-                let points = Vec::<QueryPoint>::deserialize_from(reader)?;
-                if points.is_empty() {
-                    return Err(WireError::Corrupt(
-                        "`mexplore` needs at least one point".to_owned(),
-                    ));
-                }
-                Ok(Request::MultiExplore { points })
-            }
-            TAG_PUT => {
-                let records = Vec::<PointRecord>::deserialize_from(reader)?;
-                if records.is_empty() {
-                    return Err(WireError::Corrupt(
-                        "`put` needs at least one record".to_owned(),
-                    ));
-                }
-                Ok(Request::Put { records })
-            }
-            TAG_PING => Ok(Request::Ping),
-            TAG_STATS => Ok(Request::Stats),
-            TAG_METRICS => Ok(Request::Metrics {
-                prometheus: bool::deserialize_from(reader)?,
-            }),
-            TAG_TRACE => {
-                let id = String::deserialize_from(reader)?;
-                if !valid_trace_id(&id) {
-                    return Err(WireError::Corrupt(format!("illegal trace id {id:?}")));
-                }
-                Ok(Request::Trace { id })
-            }
-            TAG_SERIES => {
-                let last = u64::deserialize_from(reader)?;
-                let window_us = u64::deserialize_from(reader)?;
-                if (last == 0) == (window_us == 0) {
-                    return Err(WireError::Corrupt(
-                        "`series` needs exactly one of `last` or `window_us`, non-zero".to_owned(),
-                    ));
-                }
-                Ok(Request::Series { last, window_us })
-            }
-            TAG_DIGEST => Ok(Request::Digest),
-            TAG_SCAN => {
-                let shard = u64::deserialize_from(reader)?;
-                let offset = u64::deserialize_from(reader)?;
-                let limit = u64::deserialize_from(reader)?;
-                if limit == 0 {
-                    return Err(WireError::Corrupt(
-                        "`scan` limit must be at least 1".to_owned(),
-                    ));
-                }
-                Ok(Request::Scan {
-                    shard,
-                    offset,
-                    limit,
-                })
-            }
-            TAG_SHUTDOWN => Ok(Request::Shutdown),
-            other => Err(WireError::Corrupt(format!(
-                "unknown request tag {other:#04x}"
-            ))),
-        }
-    }
-}
-
-impl WireSerde for PointOutcome {
-    fn serialize_into(&self, out: &mut impl std::io::Write) -> Result<(), WireError> {
-        match self {
-            PointOutcome::Answered { record, hit } => {
-                0u8.serialize_into(out)?;
-                hit.serialize_into(out)?;
-                record.serialize_into(out)
-            }
-            PointOutcome::Failed { error } => {
-                1u8.serialize_into(out)?;
-                write_str(out, error)
-            }
-        }
-    }
-
-    fn deserialize_from(reader: &mut impl Read) -> Result<Self, WireError> {
-        match u8::deserialize_from(reader)? {
-            0 => Ok(PointOutcome::Answered {
-                hit: bool::deserialize_from(reader)?,
-                record: PointRecord::deserialize_from(reader)?,
-            }),
-            1 => Ok(PointOutcome::Failed {
-                error: String::deserialize_from(reader)?,
-            }),
-            other => Err(WireError::Corrupt(format!(
-                "unknown outcome tag {other:#04x}"
-            ))),
-        }
-    }
-}
-
-impl WireSerde for OpStats {
-    fn serialize_into(&self, out: &mut impl std::io::Write) -> Result<(), WireError> {
-        write_str(out, &self.op)?;
-        self.count.serialize_into(out)?;
-        self.p50_us.serialize_into(out)?;
-        self.p99_us.serialize_into(out)
-    }
-
-    fn deserialize_from(reader: &mut impl Read) -> Result<Self, WireError> {
-        Ok(Self {
-            op: String::deserialize_from(reader)?,
-            count: u64::deserialize_from(reader)?,
-            p50_us: u64::deserialize_from(reader)?,
-            p99_us: u64::deserialize_from(reader)?,
-        })
-    }
-}
-
-impl WireSerde for ServerStats {
-    fn serialize_into(&self, out: &mut impl std::io::Write) -> Result<(), WireError> {
-        self.uptime_ms.serialize_into(out)?;
-        self.uptime_secs.serialize_into(out)?;
-        write_str(out, &self.version)?;
-        self.connections.serialize_into(out)?;
-        self.requests.serialize_into(out)?;
-        self.hits.serialize_into(out)?;
-        self.misses.serialize_into(out)?;
-        self.evaluated.serialize_into(out)?;
-        write_seq_len(out, self.shard_records.len())?;
-        for &count in &self.shard_records {
-            (count as u64).serialize_into(out)?;
-        }
-        self.ops.serialize_into(out)
-    }
-
-    fn deserialize_from(reader: &mut impl Read) -> Result<Self, WireError> {
-        let uptime_ms = u64::deserialize_from(reader)?;
-        let uptime_secs = u64::deserialize_from(reader)?;
-        let version = String::deserialize_from(reader)?;
-        let connections = u64::deserialize_from(reader)?;
-        let requests = u64::deserialize_from(reader)?;
-        let hits = u64::deserialize_from(reader)?;
-        let misses = u64::deserialize_from(reader)?;
-        let evaluated = u64::deserialize_from(reader)?;
-        let shard_records = Vec::<u64>::deserialize_from(reader)?
-            .into_iter()
-            .map(|count| count as usize)
-            .collect();
-        Ok(Self {
-            uptime_ms,
-            uptime_secs,
-            version,
-            connections,
-            requests,
-            hits,
-            misses,
-            evaluated,
-            shard_records,
-            ops: Vec::<OpStats>::deserialize_from(reader)?,
-        })
-    }
-}
-
-// `WireSerde` (from `srra_explore`) cannot be implemented for the foreign
-// `MetricsSnapshot` (from `srra_obs`) — orphan rule — so the snapshot
-// encoding lives in a pair of free functions.
-fn write_snapshot(
-    out: &mut impl std::io::Write,
-    snapshot: &MetricsSnapshot,
-) -> Result<(), WireError> {
-    write_seq_len(out, snapshot.counters.len())?;
-    for (name, count) in &snapshot.counters {
-        write_str(out, name)?;
-        count.serialize_into(out)?;
-    }
-    write_seq_len(out, snapshot.gauges.len())?;
-    for (name, level) in &snapshot.gauges {
-        write_str(out, name)?;
-        level.serialize_into(out)?;
-    }
-    write_seq_len(out, snapshot.histograms.len())?;
-    for (name, histogram) in &snapshot.histograms {
-        write_str(out, name)?;
-        histogram.buckets().to_vec().serialize_into(out)?;
-        // Exemplars ride as a sparse (bucket index, trace id) list.
-        let exemplars: Vec<(usize, &str)> = histogram
-            .exemplars()
-            .iter()
-            .enumerate()
-            .filter_map(|(index, id)| id.as_deref().map(|id| (index, id)))
-            .collect();
-        write_seq_len(out, exemplars.len())?;
-        for (index, id) in exemplars {
-            (index as u8).serialize_into(out)?;
-            write_str(out, id)?;
-        }
-    }
-    Ok(())
-}
-
-fn read_metric_name(reader: &mut impl Read) -> Result<String, WireError> {
-    let name = String::deserialize_from(reader)?;
-    if !valid_metric_name(&name) {
-        return Err(WireError::Corrupt(format!("illegal metric name {name:?}")));
-    }
-    Ok(name)
-}
-
-fn read_snapshot(reader: &mut impl Read) -> Result<MetricsSnapshot, WireError> {
-    let mut snapshot = MetricsSnapshot::default();
-    let counters = read_len(reader, srra_explore::codec::MAX_SEQ_LEN, "counters")?;
-    for _ in 0..counters {
-        let name = read_metric_name(reader)?;
-        snapshot
-            .counters
-            .push((name, u64::deserialize_from(reader)?));
-    }
-    let gauges = read_len(reader, srra_explore::codec::MAX_SEQ_LEN, "gauges")?;
-    for _ in 0..gauges {
-        let name = read_metric_name(reader)?;
-        snapshot.gauges.push((name, i64::deserialize_from(reader)?));
-    }
-    let histograms = read_len(reader, srra_explore::codec::MAX_SEQ_LEN, "histograms")?;
-    for _ in 0..histograms {
-        let name = read_metric_name(reader)?;
-        let buckets = Vec::<u64>::deserialize_from(reader)?;
-        let mut histogram = HistogramSnapshot::from_buckets(&buckets).ok_or_else(|| {
-            WireError::Corrupt(format!("histogram `{name}` carries too many buckets"))
-        })?;
-        let exemplars = read_len(reader, srra_explore::codec::MAX_SEQ_LEN, "exemplars")?;
-        for _ in 0..exemplars {
-            let index = u8::deserialize_from(reader)? as usize;
-            let id = String::deserialize_from(reader)?;
-            // Out-of-range indices are ignored, as in the JSON decoding.
-            histogram.set_exemplar(index, id);
-        }
-        snapshot.histograms.push((name, histogram));
-    }
-    Ok(snapshot)
-}
-
-/// Encodes one [`Span`] (a foreign `srra_obs` type — orphan rule, same
-/// pattern as the snapshot pair above).
-fn write_span(out: &mut impl std::io::Write, span: &Span) -> Result<(), WireError> {
-    write_str(out, &span.trace_id)?;
-    span.span_id.serialize_into(out)?;
-    span.parent_id.serialize_into(out)?;
-    write_str(out, &span.name)?;
-    span.start_us.serialize_into(out)?;
-    span.dur_us.serialize_into(out)?;
-    write_seq_len(out, span.annotations.len())?;
-    for (key, value) in &span.annotations {
-        write_str(out, key)?;
-        write_str(out, value)?;
-    }
-    Ok(())
-}
-
-fn read_span(reader: &mut impl Read) -> Result<Span, WireError> {
-    let trace_id = String::deserialize_from(reader)?;
-    let span_id = u64::deserialize_from(reader)?;
-    let parent_id = u64::deserialize_from(reader)?;
-    let name = String::deserialize_from(reader)?;
-    let start_us = u64::deserialize_from(reader)?;
-    let dur_us = u64::deserialize_from(reader)?;
-    let count = read_len(reader, srra_explore::codec::MAX_SEQ_LEN, "annotations")?;
-    let mut annotations = Vec::with_capacity(count.min(64));
-    for _ in 0..count {
-        annotations.push((
-            String::deserialize_from(reader)?,
-            String::deserialize_from(reader)?,
-        ));
-    }
-    Ok(Span {
-        trace_id,
-        span_id,
-        parent_id,
-        name,
-        start_us,
-        dur_us,
-        annotations,
-    })
-}
-
-const RESP_FOUND: u8 = 1;
-const RESP_NOT_FOUND: u8 = 2;
-const RESP_MGOT: u8 = 3;
-const RESP_EXPLORED: u8 = 4;
-const RESP_MEXPLORED: u8 = 5;
-const RESP_STORED: u8 = 6;
-const RESP_PONG: u8 = 7;
-const RESP_STATS: u8 = 8;
-const RESP_METRICS: u8 = 9;
-const RESP_METRICS_TEXT: u8 = 10;
-const RESP_SHUTTING_DOWN: u8 = 11;
-const RESP_ERROR: u8 = 12;
-const RESP_TRACED: u8 = 13;
-const RESP_DIGESTS: u8 = 14;
-const RESP_SCANNED: u8 = 15;
-const RESP_SERIES: u8 = 16;
-const RESP_DELTA: u8 = 17;
-
-impl WireSerde for ShardDigest {
-    fn serialize_into(&self, out: &mut impl std::io::Write) -> Result<(), WireError> {
-        self.records.serialize_into(out)?;
-        self.fold.serialize_into(out)
-    }
-
-    fn deserialize_from(reader: &mut impl Read) -> Result<Self, WireError> {
-        Ok(Self {
-            records: u64::deserialize_from(reader)?,
-            fold: u64::deserialize_from(reader)?,
-        })
-    }
-}
-
-impl WireSerde for Response {
-    fn serialize_into(&self, out: &mut impl std::io::Write) -> Result<(), WireError> {
-        match self {
-            Response::Found { record } => {
-                RESP_FOUND.serialize_into(out)?;
-                record.serialize_into(out)
-            }
-            Response::NotFound => RESP_NOT_FOUND.serialize_into(out),
-            Response::MultiGot { records } => {
-                RESP_MGOT.serialize_into(out)?;
-                records.serialize_into(out)
-            }
-            Response::Explored {
-                records,
-                hits,
-                evaluated,
-            } => {
-                RESP_EXPLORED.serialize_into(out)?;
-                records.serialize_into(out)?;
-                hits.serialize_into(out)?;
-                evaluated.serialize_into(out)
-            }
-            Response::MultiExplored {
-                outcomes,
-                hits,
-                evaluated,
-            } => {
-                RESP_MEXPLORED.serialize_into(out)?;
-                outcomes.serialize_into(out)?;
-                hits.serialize_into(out)?;
-                evaluated.serialize_into(out)
-            }
-            Response::Stored { stored } => {
-                RESP_STORED.serialize_into(out)?;
-                stored.serialize_into(out)
-            }
-            Response::Pong => RESP_PONG.serialize_into(out),
-            Response::Stats(stats) => {
-                RESP_STATS.serialize_into(out)?;
-                stats.serialize_into(out)
-            }
-            Response::Metrics(snapshot) => {
-                RESP_METRICS.serialize_into(out)?;
-                write_snapshot(out, snapshot)
-            }
-            Response::MetricsText { text } => {
-                RESP_METRICS_TEXT.serialize_into(out)?;
-                write_str(out, text)
-            }
-            Response::Traced { spans } => {
-                RESP_TRACED.serialize_into(out)?;
-                write_seq_len(out, spans.len())?;
-                for span in spans {
-                    write_span(out, span)?;
-                }
-                Ok(())
-            }
-            Response::Series { samples } => {
-                RESP_SERIES.serialize_into(out)?;
-                write_seq_len(out, samples.len())?;
-                for sample in samples {
-                    sample.at_us.serialize_into(out)?;
-                    write_snapshot(out, &sample.metrics)?;
-                }
-                Ok(())
-            }
-            Response::SeriesDelta { delta } => {
-                RESP_DELTA.serialize_into(out)?;
-                delta.from_us.serialize_into(out)?;
-                delta.to_us.serialize_into(out)?;
-                write_snapshot(out, &delta.diff)
-            }
-            Response::Digests { digests } => {
-                RESP_DIGESTS.serialize_into(out)?;
-                digests.serialize_into(out)
-            }
-            Response::Scanned { canonicals, done } => {
-                RESP_SCANNED.serialize_into(out)?;
-                canonicals.serialize_into(out)?;
-                done.serialize_into(out)
-            }
-            Response::ShuttingDown => RESP_SHUTTING_DOWN.serialize_into(out),
-            Response::Error { message } => {
-                RESP_ERROR.serialize_into(out)?;
-                write_str(out, message)
-            }
-        }
-    }
-
-    fn deserialize_from(reader: &mut impl Read) -> Result<Self, WireError> {
-        match u8::deserialize_from(reader)? {
-            RESP_FOUND => Ok(Response::Found {
-                record: PointRecord::deserialize_from(reader)?,
-            }),
-            RESP_NOT_FOUND => Ok(Response::NotFound),
-            RESP_MGOT => Ok(Response::MultiGot {
-                records: Vec::<Option<PointRecord>>::deserialize_from(reader)?,
-            }),
-            RESP_EXPLORED => Ok(Response::Explored {
-                records: Vec::<PointRecord>::deserialize_from(reader)?,
-                hits: u64::deserialize_from(reader)?,
-                evaluated: u64::deserialize_from(reader)?,
-            }),
-            RESP_MEXPLORED => Ok(Response::MultiExplored {
-                outcomes: Vec::<PointOutcome>::deserialize_from(reader)?,
-                hits: u64::deserialize_from(reader)?,
-                evaluated: u64::deserialize_from(reader)?,
-            }),
-            RESP_STORED => Ok(Response::Stored {
-                stored: u64::deserialize_from(reader)?,
-            }),
-            RESP_PONG => Ok(Response::Pong),
-            RESP_STATS => Ok(Response::Stats(ServerStats::deserialize_from(reader)?)),
-            RESP_METRICS => Ok(Response::Metrics(read_snapshot(reader)?)),
-            RESP_METRICS_TEXT => Ok(Response::MetricsText {
-                text: String::deserialize_from(reader)?,
-            }),
-            RESP_TRACED => {
-                let count = read_len(reader, srra_explore::codec::MAX_SEQ_LEN, "spans")?;
-                let mut spans = Vec::with_capacity(count.min(1024));
-                for _ in 0..count {
-                    spans.push(read_span(reader)?);
-                }
-                Ok(Response::Traced { spans })
-            }
-            RESP_SERIES => {
-                let count = read_len(reader, srra_explore::codec::MAX_SEQ_LEN, "series")?;
-                let mut samples = Vec::with_capacity(count.min(1024));
-                for _ in 0..count {
-                    samples.push(SeriesSample {
-                        at_us: u64::deserialize_from(reader)?,
-                        metrics: read_snapshot(reader)?,
-                    });
-                }
-                Ok(Response::Series { samples })
-            }
-            RESP_DELTA => Ok(Response::SeriesDelta {
-                delta: SnapshotDelta {
-                    from_us: u64::deserialize_from(reader)?,
-                    to_us: u64::deserialize_from(reader)?,
-                    diff: read_snapshot(reader)?,
-                },
-            }),
-            RESP_DIGESTS => Ok(Response::Digests {
-                digests: Vec::<ShardDigest>::deserialize_from(reader)?,
-            }),
-            RESP_SCANNED => Ok(Response::Scanned {
-                canonicals: Vec::<String>::deserialize_from(reader)?,
-                done: bool::deserialize_from(reader)?,
-            }),
-            RESP_SHUTTING_DOWN => Ok(Response::ShuttingDown),
-            RESP_ERROR => Ok(Response::Error {
-                message: String::deserialize_from(reader)?,
-            }),
-            other => Err(WireError::Corrupt(format!(
-                "unknown response tag {other:#04x}"
-            ))),
-        }
-    }
-}
-
 /// Whether `buffer` (a read buffer already known to start a request) holds at
 /// least one *complete* request of either codec — the flush-deferral test of
 /// the pipelined server loop, generalised to mixed codecs.
@@ -845,7 +236,13 @@ pub(crate) fn holds_complete_request(buffer: &[u8]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use srra_obs::Registry;
+    use crate::fields::{BinWriter, Head};
+    use crate::protocol::{
+        write_get, write_mget, write_points, write_put, Op, OpStats, PointOutcome, QueryPoint,
+        ServerStats, ShardDigest,
+    };
+    use srra_explore::PointRecord;
+    use srra_obs::{MetricsSnapshot, Registry, SeriesSample, SnapshotDelta, Span};
 
     fn sample_record() -> PointRecord {
         PointRecord {
@@ -1128,31 +525,31 @@ mod tests {
                 Request::Get {
                     canonical: "a".to_owned(),
                 },
-                borrowed(&|out| write_get(out, "a")),
+                borrowed(&|out| write_get(&mut BinWriter(out), "a")),
             ),
             (
                 Request::MultiGet {
                     canonicals: canonicals.clone(),
                 },
-                borrowed(&|out| write_mget(out, &canonicals)),
+                borrowed(&|out| write_mget(&mut BinWriter(out), &canonicals)),
             ),
             (
                 Request::Explore {
                     points: points.clone(),
                 },
-                borrowed(&|out| write_points(out, false, &points)),
+                borrowed(&|out| write_points(&mut BinWriter(out), Op::Explore, &points)),
             ),
             (
                 Request::MultiExplore {
                     points: points.clone(),
                 },
-                borrowed(&|out| write_points(out, true, &points)),
+                borrowed(&|out| write_points(&mut BinWriter(out), Op::MultiExplore, &points)),
             ),
             (
                 Request::Put {
                     records: records.clone(),
                 },
-                borrowed(&|out| write_put(out, &records)),
+                borrowed(&|out| write_put(&mut BinWriter(out), &records)),
             ),
         ];
         for (request, borrowed) in cases {
@@ -1207,14 +604,14 @@ mod tests {
         payload.push(0);
         assert!(decode_payload::<Request>(&payload).is_err());
         // Empty batches are rejected like their JSON twins.
-        let mut body = vec![0u8, TAG_MGET];
+        let mut body = vec![0u8, Op::MultiGet.tag()];
         body.extend_from_slice(&0u32.to_le_bytes());
         assert!(matches!(
             decode_payload::<Request>(&body),
             Err(WireError::Corrupt(_))
         ));
         // Bad trace bytes.
-        let payload = [3u8, b'a', b' ', b'b', TAG_PING];
+        let payload = [3u8, b'a', b' ', b'b', Op::Ping.tag()];
         assert!(matches!(
             decode_payload::<Request>(&payload),
             Err(WireError::Corrupt(_))

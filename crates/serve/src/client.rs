@@ -6,9 +6,9 @@
 //! (a JSON line plus its trailing `\n`, or one binary frame) in a reused
 //! scratch buffer and sends it with a single `write_all`, and supports
 //! *pipelining* — write N requests back-to-back, then read the N replies in
-//! order.  Every typed op is one preparation step (the op's JSON renderer
-//! and binary body writer, shared with [`Request`]'s own encodings) plus one
-//! narrowing step from [`Response`] to the op's reply type.  [`Client`] is
+//! order.  Every typed op is one preparation step (the op's one field
+//! writer, shared with [`Request`]'s own encoding, run by the connection's
+//! codec) plus one narrowing step from [`Response`] to the op's reply type.  [`Client`] is
 //! only an address handle: it opens connections and carries the one
 //! naturally one-shot op, `shutdown`.
 //!
@@ -28,18 +28,15 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-use srra_explore::codec::{WireError, WireSerde};
+use srra_explore::codec::WireError;
 use srra_explore::PointRecord;
 use srra_obs::{Counter, MetricsSnapshot, Registry, SeriesSample, SnapshotDelta, Span};
 
-use crate::binary::{
-    decode_payload, frame_into, read_frame, write_get, write_mget, write_points, write_put,
-    FrameError,
-};
+use crate::binary::{decode_payload, frame_into, read_frame, FrameError};
+use crate::fields::{BinWriter, JsonWriter};
 use crate::protocol::{
-    render_get_request, render_mget_request, render_points_request, render_put_request,
-    stamp_trace, trace_suffix, valid_trace_id, PointOutcome, QueryPoint, Request, Response,
-    ServerStats, ShardDigest,
+    stamp_trace, trace_suffix, valid_trace_id, write_get, write_mget, write_points, write_put, Op,
+    PointOutcome, QueryPoint, Request, Response, ServerStats, ShardDigest,
 };
 
 /// Lifts a codec failure into the client error space.
@@ -334,7 +331,7 @@ impl Connection {
     ///
     /// Socket-level failures.
     pub fn send(&mut self, request: &Request) -> Result<(), ClientError> {
-        self.prepare_request(request)?;
+        self.prepare(|w| request.encode(w), |w| request.encode(w))?;
         Ok(self.write_prepared()?)
     }
 
@@ -344,20 +341,23 @@ impl Connection {
         self.frame.clear();
     }
 
-    /// Appends one request to the active codec's scratch buffer: JSON
-    /// requests are rendered by `render`, then stamped with the
-    /// connection's trace id (when set) and terminated with `\n`; binary
-    /// requests get their body from `body`, framed with the trace id in the
-    /// frame header.
+    /// Appends one request to the active codec's scratch buffer, written by
+    /// `json` or `binary` — the same field writer, once per codec.  JSON
+    /// requests are stamped with the connection's trace id (when set) and
+    /// terminated with `\n`; binary requests are framed with the trace id in
+    /// the frame header.
     fn append(
         &mut self,
-        render: impl FnOnce(&mut String),
-        body: impl FnOnce(&mut Vec<u8>) -> Result<(), WireError>,
+        json: impl FnOnce(&mut JsonWriter<'_>) -> Result<(), WireError>,
+        binary: impl FnOnce(&mut BinWriter<'_, Vec<u8>>) -> Result<(), WireError>,
     ) -> Result<(), ClientError> {
         if self.binary {
-            return frame_into(&mut self.frame, self.trace.as_deref(), body).map_err(wire_err);
+            return frame_into(&mut self.frame, self.trace.as_deref(), |out| {
+                binary(&mut BinWriter(out))
+            })
+            .map_err(wire_err);
         }
-        render(&mut self.scratch);
+        JsonWriter::object(&mut self.scratch, json);
         if let Some(trace) = &self.trace {
             stamp_trace(&mut self.scratch, trace);
         }
@@ -365,28 +365,25 @@ impl Connection {
         Ok(())
     }
 
-    /// [`append`](Connection::append) for an owned [`Request`].
-    fn append_request(&mut self, request: &Request) -> Result<(), ClientError> {
-        self.append(
-            |out| request.render_into(out),
-            |out| request.serialize_into(out),
-        )
-    }
-
     /// Prepares exactly one request in the active codec's scratch buffer.
     fn prepare(
         &mut self,
-        render: impl FnOnce(&mut String),
-        body: impl FnOnce(&mut Vec<u8>) -> Result<(), WireError>,
+        json: impl FnOnce(&mut JsonWriter<'_>) -> Result<(), WireError>,
+        binary: impl FnOnce(&mut BinWriter<'_, Vec<u8>>) -> Result<(), WireError>,
     ) -> Result<(), ClientError> {
         self.clear_prepared();
-        self.append(render, body)
+        self.append(json, binary)
     }
 
-    /// [`prepare`](Connection::prepare) for an owned [`Request`].
-    fn prepare_request(&mut self, request: &Request) -> Result<(), ClientError> {
-        self.clear_prepared();
-        self.append_request(request)
+    /// Prepares `request` and narrows its reply (see
+    /// [`reply`](Connection::reply)).
+    fn call<T>(
+        &mut self,
+        request: &Request,
+        pick: impl FnOnce(Response) -> Result<T, Box<Response>>,
+    ) -> Result<T, ClientError> {
+        self.prepare(|w| request.encode(w), |w| request.encode(w))?;
+        self.reply(request.op(), pick)
     }
 
     /// Round-trips the prepared request of `op` (replayed once on a stale
@@ -397,15 +394,16 @@ impl Connection {
     /// is a protocol violation.
     fn reply<T>(
         &mut self,
-        op: &str,
+        op: Op,
         pick: impl FnOnce(Response) -> Result<T, Box<Response>>,
     ) -> Result<T, ClientError> {
-        let response = self.roundtrip_prepared(op != "shutdown")?;
+        let response = self.roundtrip_prepared(op != Op::Shutdown)?;
         match pick(response).map_err(|unexpected| *unexpected) {
             Ok(value) => Ok(value),
             Err(Response::Error { message }) => Err(ClientError::Server(message)),
             Err(other) => Err(ClientError::Protocol(format!(
-                "unexpected response to {op}: {other:?}"
+                "unexpected response to {}: {other:?}",
+                op.name()
             ))),
         }
     }
@@ -439,14 +437,9 @@ impl Connection {
             )));
         }
         self.line.truncate(self.line.trim_end().len());
-        // Peel an echoed trace id off the reply before parsing.
-        self.last_trace = None;
-        let echoed = trace_suffix(&self.line).map(|(start, id)| (start, id.to_owned()));
-        if let Some((start, id)) = echoed {
-            self.last_trace = Some(id);
-            self.line.truncate(start);
-            self.line.push('}');
-        }
+        // The parser ignores an echoed `trace` member; read its id off the
+        // line's tail.
+        self.last_trace = trace_suffix(&self.line).map(|(_, id)| id.to_owned());
         Response::parse(&self.line).map_err(ClientError::Protocol)
     }
 
@@ -496,8 +489,8 @@ impl Connection {
     ///
     /// Socket-level failures and malformed responses.
     pub fn roundtrip(&mut self, request: &Request) -> Result<Response, ClientError> {
-        self.prepare_request(request)?;
-        self.roundtrip_prepared(!matches!(request, Request::Shutdown))
+        self.prepare(|w| request.encode(w), |w| request.encode(w))?;
+        self.roundtrip_prepared(request.op() != Op::Shutdown)
     }
 
     /// Pipelines a batch: prepares *all* requests into one buffer, sends
@@ -523,11 +516,9 @@ impl Connection {
     pub fn pipeline(&mut self, requests: &[Request]) -> Result<Vec<Response>, ClientError> {
         self.clear_prepared();
         for request in requests {
-            self.append_request(request)?;
+            self.append(|w| request.encode(w), |w| request.encode(w))?;
         }
-        let replayable = !requests
-            .iter()
-            .any(|request| matches!(request, Request::Shutdown));
+        let replayable = !requests.iter().any(|request| request.op() == Op::Shutdown);
         match self.try_pipeline_prepared(requests.len()) {
             Err((_, true)) if replayable => {
                 connection_metrics().reconnect_retries.inc();
@@ -573,11 +564,8 @@ impl Connection {
     /// Connection failures, malformed responses and server-side errors.
     pub fn get(&mut self, canonical: &str) -> Result<Option<PointRecord>, ClientError> {
         // Encoded from the borrowed canonical — no owned Request, no clone.
-        self.prepare(
-            |out| render_get_request(out, canonical),
-            |out| write_get(out, canonical),
-        )?;
-        self.reply("get", |response| match response {
+        self.prepare(|w| write_get(w, canonical), |w| write_get(w, canonical))?;
+        self.reply(Op::Get, |response| match response {
             Response::Found { record } => Ok(Some(record)),
             Response::NotFound => Ok(None),
             other => Err(other.into()),
@@ -590,11 +578,8 @@ impl Connection {
     ///
     /// Connection failures, malformed responses and server-side errors.
     pub fn mget(&mut self, canonicals: &[String]) -> Result<Vec<Option<PointRecord>>, ClientError> {
-        self.prepare(
-            |out| render_mget_request(out, canonicals),
-            |out| write_mget(out, canonicals),
-        )?;
-        self.reply("mget", |response| match response {
+        self.prepare(|w| write_mget(w, canonicals), |w| write_mget(w, canonicals))?;
+        self.reply(Op::MultiGet, |response| match response {
             Response::MultiGot { records } => Ok(records),
             other => Err(other.into()),
         })
@@ -608,10 +593,10 @@ impl Connection {
     /// Connection failures, malformed responses and server-side errors.
     pub fn explore(&mut self, points: &[QueryPoint]) -> Result<ExploreReply, ClientError> {
         self.prepare(
-            |out| render_points_request(out, "explore", points),
-            |out| write_points(out, false, points),
+            |w| write_points(w, Op::Explore, points),
+            |w| write_points(w, Op::Explore, points),
         )?;
-        self.reply("explore", |response| match response {
+        self.reply(Op::Explore, |response| match response {
             Response::Explored {
                 records,
                 hits,
@@ -634,10 +619,10 @@ impl Connection {
     /// Connection failures, malformed responses and server-side errors.
     pub fn mexplore(&mut self, points: &[QueryPoint]) -> Result<MultiExploreReply, ClientError> {
         self.prepare(
-            |out| render_points_request(out, "mexplore", points),
-            |out| write_points(out, true, points),
+            |w| write_points(w, Op::MultiExplore, points),
+            |w| write_points(w, Op::MultiExplore, points),
         )?;
-        self.reply("mexplore", |response| match response {
+        self.reply(Op::MultiExplore, |response| match response {
             Response::MultiExplored {
                 outcomes,
                 hits,
@@ -658,11 +643,8 @@ impl Connection {
     ///
     /// Connection failures, malformed responses and server-side errors.
     pub fn put(&mut self, records: &[PointRecord]) -> Result<u64, ClientError> {
-        self.prepare(
-            |out| render_put_request(out, records),
-            |out| write_put(out, records),
-        )?;
-        self.reply("put", |response| match response {
+        self.prepare(|w| write_put(w, records), |w| write_put(w, records))?;
+        self.reply(Op::Put, |response| match response {
             Response::Stored { stored } => Ok(stored),
             other => Err(other.into()),
         })
@@ -674,8 +656,7 @@ impl Connection {
     ///
     /// Connection failures, malformed responses and server-side errors.
     pub fn ping(&mut self) -> Result<(), ClientError> {
-        self.prepare_request(&Request::Ping)?;
-        self.reply("ping", |response| match response {
+        self.call(&Request::Ping, |response| match response {
             Response::Pong => Ok(()),
             other => Err(other.into()),
         })
@@ -687,8 +668,7 @@ impl Connection {
     ///
     /// Connection failures, malformed responses and server-side errors.
     pub fn stats(&mut self) -> Result<ServerStats, ClientError> {
-        self.prepare_request(&Request::Stats)?;
-        self.reply("stats", |response| match response {
+        self.call(&Request::Stats, |response| match response {
             Response::Stats(stats) => Ok(stats),
             other => Err(other.into()),
         })
@@ -702,8 +682,7 @@ impl Connection {
     /// Connection failures, malformed responses and server-side errors.
     pub fn metrics(&mut self) -> Result<MetricsSnapshot, ClientError> {
         let request = Request::Metrics { prometheus: false };
-        self.prepare_request(&request)?;
-        self.reply("metrics", |response| match response {
+        self.call(&request, |response| match response {
             Response::Metrics(snapshot) => Ok(snapshot),
             other => Err(other.into()),
         })
@@ -717,8 +696,7 @@ impl Connection {
     /// Connection failures, malformed responses and server-side errors.
     pub fn metrics_text(&mut self) -> Result<String, ClientError> {
         let request = Request::Metrics { prometheus: true };
-        self.prepare_request(&request)?;
-        self.reply("metrics", |response| match response {
+        self.call(&request, |response| match response {
             Response::MetricsText { text } => Ok(text),
             other => Err(other.into()),
         })
@@ -733,8 +711,7 @@ impl Connection {
     /// Connection failures, malformed responses and server-side errors.
     pub fn trace_spans(&mut self, id: &str) -> Result<Vec<Span>, ClientError> {
         let request = Request::Trace { id: id.to_owned() };
-        self.prepare_request(&request)?;
-        self.reply("trace", |response| match response {
+        self.call(&request, |response| match response {
             Response::Traced { spans } => Ok(spans),
             other => Err(other.into()),
         })
@@ -748,8 +725,7 @@ impl Connection {
     /// Connection failures, malformed responses and server-side errors.
     pub fn series_samples(&mut self, last: u64) -> Result<Vec<SeriesSample>, ClientError> {
         let request = Request::Series { last, window_us: 0 };
-        self.prepare_request(&request)?;
-        self.reply("series", |response| match response {
+        self.call(&request, |response| match response {
             Response::Series { samples } => Ok(samples),
             other => Err(other.into()),
         })
@@ -765,8 +741,7 @@ impl Connection {
     /// (including too few samples in the window, e.g. a disabled sampler).
     pub fn series_delta(&mut self, window_us: u64) -> Result<SnapshotDelta, ClientError> {
         let request = Request::Series { last: 0, window_us };
-        self.prepare_request(&request)?;
-        self.reply("series", |response| match response {
+        self.call(&request, |response| match response {
             Response::SeriesDelta { delta } => Ok(delta),
             other => Err(other.into()),
         })
@@ -780,8 +755,7 @@ impl Connection {
     ///
     /// Connection failures, malformed responses and server-side errors.
     pub fn digest(&mut self) -> Result<Vec<ShardDigest>, ClientError> {
-        self.prepare_request(&Request::Digest)?;
-        self.reply("digest", |response| match response {
+        self.call(&Request::Digest, |response| match response {
             Response::Digests { digests } => Ok(digests),
             other => Err(other.into()),
         })
@@ -806,8 +780,7 @@ impl Connection {
             offset,
             limit,
         };
-        self.prepare_request(&request)?;
-        self.reply("scan", |response| match response {
+        self.call(&request, |response| match response {
             Response::Scanned { canonicals, done } => Ok((canonicals, done)),
             other => Err(other.into()),
         })
@@ -822,8 +795,7 @@ impl Connection {
     ///
     /// Connection failures, malformed responses and server-side errors.
     pub fn shutdown(&mut self) -> Result<(), ClientError> {
-        self.prepare_request(&Request::Shutdown)?;
-        self.reply("shutdown", |response| match response {
+        self.call(&Request::Shutdown, |response| match response {
             Response::ShuttingDown => Ok(()),
             other => Err(other.into()),
         })

@@ -47,10 +47,10 @@
 //!    request lands in as an exemplar.
 //!
 //! The wire protocol is specified in `docs/serving.md`; [`Request`] /
-//! [`Response`] are its single shape definition, with the JSON encoding in
-//! this crate's `protocol` module (over the workspace's one JSON parser,
-//! [`JsonValue`], which lives in [`srra_explore::json`]) and the binary
-//! encoding in `binary` (over the [`srra_explore::WireSerde`] trait).
+//! [`Response`] are its single shape definition.  The `protocol` module's
+//! op table and per-variant encode/decode arms serve both codecs: JSON
+//! lines (over the workspace's one JSON parser, [`JsonValue`]) and the
+//! binary frames of `binary` (over [`srra_explore::codec`]).
 //! [`Connection`] is the client: keep-alive, pipelining, one typed method
 //! per op ([`Connection::connect_binary`] for the binary codec).  [`Client`]
 //! is an address handle that opens connections and sends the one-shot
@@ -85,6 +85,7 @@
 
 mod binary;
 mod client;
+mod fields;
 mod protocol;
 mod server;
 mod shard;

@@ -1,29 +1,41 @@
-//! The line-delimited JSON wire protocol spoken between `srra serve` and
-//! `srra query`.
+//! The wire protocol spoken between `srra serve` and its clients: the
+//! [`Request`] / [`Response`] shapes, the op table, and the JSON line codec.
 //!
 //! Every request and every response is exactly one JSON object on one line
-//! (`\n`-terminated).  A connection may carry any number of request/response
-//! pairs in order, and clients may *pipeline*: write several request lines
-//! before reading any replies — the server answers strictly in request order.
-//! The batched `mget` / `mexplore` ops amortise framing and syscalls further
-//! by answering many lookups or points with a single line in each direction.
-//! The full specification lives in `docs/serving.md`; this module is the
-//! single encode/decode implementation used by both the server and the
-//! client, so the two cannot drift apart.
+//! (`\n`-terminated), or one binary frame (see `binary`).  A connection may
+//! carry any number of request/response pairs in order, and clients may
+//! *pipeline*: write several requests before reading any replies — the
+//! server answers strictly in request order.  The full specification lives
+//! in `docs/serving.md`.
+//!
+//! Each op is declared once.  [`OPS`] gives every op its JSON name, binary
+//! request tag and `stats` slot, and [`REPLIES`] gives every reply its
+//! binary tag and the JSON key that identifies it.  [`Request::encode`] and
+//! [`Response::encode`] list each variant's fields once, against the
+//! codec-neutral [`Writer`]; [`Request::decode`] and [`Response::decode`]
+//! read them back through a [`Reader`].  Both codecs run these same arms, and
+//! both decoders finish with [`Request::check`], so the codecs cannot drift
+//! apart.  Adding an op takes one [`OPS`] row, one encode arm, one decode arm
+//! and one server handler.
 //!
 //! All render methods come in a pair: `render` (fresh `String`) and
 //! `render_into` (append to a caller-owned buffer), so the server and the
 //! keep-alive client can reuse one scratch allocation across requests.
 //! Embedded [`PointRecord`]s are written straight into the output buffer as
-//! their raw JSONL lines (via [`PointRecord::write_json_line`]) — no
-//! intermediate [`JsonValue`] tree and no per-record temporaries — so the
-//! hot `get`/`explore` reply path allocates nothing beyond the record
-//! lookup itself and the buffer's own growth.
+//! their raw JSONL lines — no intermediate [`JsonValue`] tree.
 
+use std::io::{Read, Write};
+
+use srra_explore::codec::{read_len, write_seq_len, write_str, WireError, WireSerde, MAX_SEQ_LEN};
 use srra_explore::{render_string, JsonValue, PointRecord};
 use srra_obs::{
     valid_metric_name, HistogramSnapshot, MetricsSnapshot, SeriesSample, SnapshotDelta, Span,
     LATENCY_BUCKETS,
+};
+
+use crate::fields::{
+    message, BinReader, BinWriter, Decode, Encode, Fields, Head, JsonReader, JsonWriter, Reader,
+    Writer,
 };
 
 /// Longest accepted `trace` id, in bytes.
@@ -68,13 +80,148 @@ pub fn stamp_trace(out: &mut String, id: &str) {
 /// Sound for any valid JSON line: an unescaped `"` cannot occur inside a
 /// JSON string, so a raw `,"trace":"` directly before the final `"}` can
 /// only be a top-level `trace` member.  Lines where the candidate id fails
-/// [`valid_trace_id`] are left alone and fall through to the full parser.
+/// [`valid_trace_id`] are left alone.
 pub fn trace_suffix(line: &str) -> Option<(usize, &str)> {
     let rest = line.strip_suffix("\"}")?;
     let start = rest.rfind(",\"trace\":\"")?;
     let id = &rest[start + ",\"trace\":\"".len()..];
     valid_trace_id(id).then_some((start, id))
 }
+
+/// Declares a fieldless enum together with its table: one row per variant,
+/// in declaration order, so `variant as usize` indexes the table.
+macro_rules! table {
+    (
+        $(#[$enum_doc:meta])* enum $name:ident;
+        $(#[$table_doc:meta])* const $table:ident: [$row:ty];
+        $($variant:ident: $($column:expr),+;)+
+    ) => {
+        $(#[$enum_doc])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub(crate) enum $name { $($variant),+ }
+
+        $(#[$table_doc])*
+        pub(crate) const $table: &[$row] = &[$(($name::$variant, $($column),+)),+];
+    };
+}
+
+table! {
+    /// The wire ops, in `stats` slot order.
+    enum Op;
+    /// The op table: each op's JSON name and binary request tag, one row
+    /// per op in `stats` slot order.  The server accounts unparseable
+    /// requests in one more slot after these, named `invalid`.
+    const OPS: [(Op, &str, u8)];
+    Get: "get", 1;
+    MultiGet: "mget", 2;
+    Explore: "explore", 3;
+    MultiExplore: "mexplore", 4;
+    Put: "put", 5;
+    Ping: "ping", 6;
+    Stats: "stats", 7;
+    Metrics: "metrics", 8;
+    Trace: "trace", 10;
+    Series: "series", 13;
+    Digest: "digest", 11;
+    Scan: "scan", 12;
+    Shutdown: "shutdown", 9;
+}
+
+impl Op {
+    /// The op's JSON name.
+    pub(crate) fn name(self) -> &'static str {
+        OPS[self as usize].1
+    }
+
+    fn by_name(name: &str) -> Option<Op> {
+        OPS.iter().find(|row| row.1 == name).map(|row| row.0)
+    }
+
+    fn by_tag(tag: u8) -> Option<Op> {
+        OPS.iter().find(|row| row.2 == tag).map(|row| row.0)
+    }
+}
+
+/// A request opens with `"op":"<name>"` in JSON, its tag byte in binary.
+impl Head for Op {
+    fn tag(self) -> u8 {
+        OPS[self as usize].2
+    }
+
+    fn json(self, w: &mut JsonWriter<'_>) {
+        self.name().render(w.member("op"));
+    }
+}
+
+table! {
+    /// The reply shapes.
+    enum Reply;
+    /// The reply table: each reply's binary tag and the JSON key that
+    /// identifies it, plus the value of that key when it is a bare marker
+    /// (`"found":false`, `"pong":true`, …) rather than a payload field.
+    const REPLIES: [(Reply, u8, &str, Option<bool>)];
+    Found: 1, "found", Some(true);
+    NotFound: 2, "found", Some(false);
+    MultiGot: 3, "got", None;
+    Explored: 4, "records", None;
+    MultiExplored: 5, "outcomes", None;
+    Stored: 6, "stored", None;
+    Pong: 7, "pong", Some(true);
+    Stats: 8, "stats", None;
+    Metrics: 9, "metrics", None;
+    MetricsText: 10, "exposition", None;
+    ShuttingDown: 11, "shutting_down", Some(true);
+    Error: 12, "error", None;
+    Traced: 13, "spans", None;
+    Digests: 14, "digests", None;
+    Scanned: 15, "canonicals", None;
+    Series: 16, "series", None;
+    SeriesDelta: 17, "delta", None;
+}
+
+impl Reply {
+    /// The JSON key identifying this reply; a payload reply's first field
+    /// sits under it.
+    fn key(self) -> &'static str {
+        REPLIES[self as usize].2
+    }
+
+    fn by_tag(tag: u8) -> Option<Reply> {
+        REPLIES.iter().find(|row| row.1 == tag).map(|row| row.0)
+    }
+
+    /// The successful reply whose key `value` carries (the JSON codec has no
+    /// tag byte).
+    fn sniff(value: &JsonValue) -> Option<Reply> {
+        REPLIES.iter().find_map(|&(reply, _, key, marker)| {
+            let member = value.get(key)?;
+            let matches = reply != Reply::Error
+                && marker.map_or(true, |marker| member.as_bool() == Some(marker));
+            matches.then_some(reply)
+        })
+    }
+}
+
+/// A reply opens with `"ok":…` (plus its marker member, if any) in JSON, its
+/// tag byte in binary.
+impl Head for Reply {
+    fn tag(self) -> u8 {
+        REPLIES[self as usize].1
+    }
+
+    fn json(self, w: &mut JsonWriter<'_>) {
+        let (_, _, key, marker) = REPLIES[self as usize];
+        (self != Reply::Error).render(w.member("ok"));
+        if let Some(marker) = marker {
+            marker.render(w.member(key));
+        }
+    }
+}
+
+/// The RAM latency a query point gets when it names none.
+const DEFAULT_LATENCY: u64 = 2;
+/// The device a query point gets when it names none.
+const DEFAULT_DEVICE: &str = "xcv1000";
 
 /// One design point named by a query (the request-side mirror of
 /// [`srra_explore::DesignPoint`], with everything by name).
@@ -102,137 +249,92 @@ impl QueryPoint {
             kernel: kernel.into(),
             algorithm: algorithm.into(),
             budget,
-            ram_latency: 2,
-            device: "xcv1000".to_owned(),
+            ram_latency: DEFAULT_LATENCY,
+            device: DEFAULT_DEVICE.to_owned(),
         }
     }
+}
 
-    fn render_into(&self, out: &mut String) {
-        out.push_str("{\"kernel\":");
-        render_string(out, &self.kernel);
-        out.push_str(",\"algo\":");
-        render_string(out, &self.algorithm);
-        out.push_str(",\"budget\":");
-        out.push_str(&self.budget.to_string());
-        out.push_str(",\"latency\":");
-        out.push_str(&self.ram_latency.to_string());
-        out.push_str(",\"device\":");
-        render_string(out, &self.device);
-        out.push('}');
+impl Fields for QueryPoint {
+    const NAME: &'static str = "point";
+
+    fn write_fields<W: Writer>(&self, w: &mut W) -> Result<(), WireError> {
+        w.field("kernel", &self.kernel)?;
+        w.field("algo", &self.algorithm)?;
+        w.field("budget", &self.budget)?;
+        w.field("latency", &self.ram_latency)?;
+        w.field("device", &self.device)
     }
 
-    fn from_value(value: &JsonValue) -> Result<Self, String> {
-        let text = |name: &str| -> Result<String, String> {
-            value
-                .get(name)
-                .and_then(JsonValue::as_str)
-                .map(str::to_owned)
-                .ok_or_else(|| format!("point needs a string `{name}` field"))
-        };
-        let budget = value
-            .get("budget")
-            .and_then(JsonValue::as_u64)
-            .ok_or("point needs a numeric `budget` field")?;
-        let ram_latency = match value.get("latency") {
-            None => 2,
-            Some(v) => v.as_u64().ok_or("`latency` must be a number")?,
-        };
-        let device = match value.get("device") {
-            None => "xcv1000".to_owned(),
-            Some(v) => v
-                .as_str()
-                .map(str::to_owned)
-                .ok_or("`device` must be a string")?,
-        };
+    fn read_fields<R: Reader>(r: &mut R) -> Result<Self, WireError> {
         Ok(Self {
-            kernel: text("kernel")?,
-            algorithm: text("algo")?,
-            budget,
-            ram_latency,
-            device,
+            kernel: r.field("kernel")?,
+            algorithm: r.field("algo")?,
+            budget: r.field("budget")?,
+            ram_latency: r.field_or("latency", || DEFAULT_LATENCY)?,
+            device: r.field_or("device", || DEFAULT_DEVICE.to_owned())?,
         })
     }
 }
 
-/// Renders a `[...]` of query points.
-fn render_points(out: &mut String, points: &[QueryPoint]) {
-    out.push('[');
-    for (index, point) in points.iter().enumerate() {
-        if index > 0 {
-            out.push(',');
+/// Writes a `get` request.  This and the three writers below are their
+/// ops' one request layout: [`Request::encode`] and the client's borrowed,
+/// no-clone encoding both call them.
+pub(crate) fn write_get<W: Writer>(w: &mut W, canonical: &str) -> Result<(), WireError> {
+    w.open(Op::Get)?;
+    w.field("canonical", canonical)
+}
+
+/// Writes an `mget` request.
+pub(crate) fn write_mget<W: Writer>(w: &mut W, canonicals: &[String]) -> Result<(), WireError> {
+    w.open(Op::MultiGet)?;
+    w.field("canonicals", canonicals)
+}
+
+/// Writes an `explore` or `mexplore` request (`op` says which).
+pub(crate) fn write_points<W: Writer>(
+    w: &mut W,
+    op: Op,
+    points: &[QueryPoint],
+) -> Result<(), WireError> {
+    w.open(op)?;
+    w.field("points", points)
+}
+
+/// Writes a `put` request.
+pub(crate) fn write_put<W: Writer>(w: &mut W, records: &[PointRecord]) -> Result<(), WireError> {
+    w.open(Op::Put)?;
+    w.field("records", records)
+}
+
+/// The `metrics` request's `format`: JSON names it (`"prometheus"`, or
+/// `"json"`, the default, which requests leave out), binary carries a flag.
+struct MetricsFormat(bool);
+
+impl Encode for MetricsFormat {
+    fn render(&self, out: &mut String) {
+        if self.0 { "prometheus" } else { "json" }.render(out);
+    }
+
+    fn write(&self, out: &mut impl Write) -> Result<(), WireError> {
+        self.0.write(out)
+    }
+}
+
+impl Decode for MetricsFormat {
+    const KIND: &'static str = "a string";
+
+    fn from_json(value: &JsonValue) -> Result<Self, String> {
+        match value.as_str() {
+            Some("json") => Ok(Self(false)),
+            Some("prometheus" | "prom") => Ok(Self(true)),
+            _ => Err("expected \"json\" or \"prometheus\"".to_owned()),
         }
-        point.render_into(out);
     }
-    out.push(']');
-}
 
-/// Renders a `get` request line from borrowed data (no trailing newline) —
-/// the hot-path twin of [`Request::render_into`] that needs no owned
-/// [`Request`].
-pub(crate) fn render_get_request(out: &mut String, canonical: &str) {
-    out.push_str("{\"op\":\"get\",\"canonical\":");
-    render_string(out, canonical);
-    out.push('}');
-}
-
-/// Renders an `mget` request line from borrowed canonicals (no trailing
-/// newline).
-pub(crate) fn render_mget_request(out: &mut String, canonicals: &[String]) {
-    out.push_str("{\"op\":\"mget\",\"canonicals\":[");
-    for (index, canonical) in canonicals.iter().enumerate() {
-        if index > 0 {
-            out.push(',');
-        }
-        render_string(out, canonical);
+    fn read(reader: &mut impl Read) -> Result<Self, WireError> {
+        bool::read(reader).map(Self)
     }
-    out.push_str("]}");
-}
-
-/// Renders a `put` request line from borrowed records (no trailing newline).
-pub(crate) fn render_put_request(out: &mut String, records: &[PointRecord]) {
-    out.push_str("{\"op\":\"put\",\"records\":[");
-    for (index, record) in records.iter().enumerate() {
-        if index > 0 {
-            out.push(',');
-        }
-        record.write_json_line(out);
-    }
-    out.push_str("]}");
-}
-
-/// Renders an `explore`-shaped request line (`op` is `explore` or
-/// `mexplore`) from borrowed points (no trailing newline).
-pub(crate) fn render_points_request(out: &mut String, op: &str, points: &[QueryPoint]) {
-    out.push_str("{\"op\":\"");
-    out.push_str(op);
-    out.push_str("\",\"points\":");
-    render_points(out, points);
-    out.push('}');
-}
-
-/// Fast path for the hot `get` line exactly as [`render_get_request`] frames
-/// it, given the line without its closing `}` (and without a stamped trace
-/// id).  `None` — a canonical containing quotes or escapes, or any other
-/// line — falls back to the general parser.
-fn parse_plain_get(body: &str) -> Option<Request> {
-    let text = body
-        .strip_prefix("{\"op\":\"get\",\"canonical\":\"")?
-        .strip_suffix('"')?;
-    (!text.contains('\\') && !text.contains('"')).then(|| Request::Get {
-        canonical: text.to_owned(),
-    })
-}
-
-/// Parses the non-empty `points` array shared by `explore` and `mexplore`.
-fn parse_points(value: &JsonValue, op: &str) -> Result<Vec<QueryPoint>, String> {
-    let items = value
-        .get("points")
-        .and_then(JsonValue::as_array)
-        .ok_or_else(|| format!("`{op}` needs a `points` array"))?;
-    if items.is_empty() {
-        return Err(format!("`{op}` needs at least one point"));
-    }
-    items.iter().map(QueryPoint::from_value).collect()
 }
 
 /// One request line.
@@ -323,7 +425,133 @@ pub enum Request {
     Shutdown,
 }
 
+// The `trace` rule in `Request::check` spells the bound out.
+const _: () = assert!(TRACE_MAX_LEN == 64);
+
 impl Request {
+    /// The op this request invokes.
+    pub(crate) fn op(&self) -> Op {
+        match self {
+            Request::Get { .. } => Op::Get,
+            Request::MultiGet { .. } => Op::MultiGet,
+            Request::Explore { .. } => Op::Explore,
+            Request::MultiExplore { .. } => Op::MultiExplore,
+            Request::Put { .. } => Op::Put,
+            Request::Ping => Op::Ping,
+            Request::Stats => Op::Stats,
+            Request::Metrics { .. } => Op::Metrics,
+            Request::Trace { .. } => Op::Trace,
+            Request::Series { .. } => Op::Series,
+            Request::Digest => Op::Digest,
+            Request::Scan { .. } => Op::Scan,
+            Request::Shutdown => Op::Shutdown,
+        }
+    }
+
+    /// Writes the request in either codec: each variant's fields, once.
+    pub(crate) fn encode<W: Writer>(&self, w: &mut W) -> Result<(), WireError> {
+        match self {
+            Request::Get { canonical } => write_get(w, canonical),
+            Request::MultiGet { canonicals } => write_mget(w, canonicals),
+            Request::Explore { points } => write_points(w, Op::Explore, points),
+            Request::MultiExplore { points } => write_points(w, Op::MultiExplore, points),
+            Request::Put { records } => write_put(w, records),
+            Request::Metrics { prometheus } => {
+                w.open(Op::Metrics)?;
+                w.field_if("format", &MetricsFormat(*prometheus), *prometheus)
+            }
+            Request::Trace { id } => {
+                w.open(Op::Trace)?;
+                w.field("id", id)
+            }
+            // JSON leaves out a zero field.
+            Request::Series { last, window_us } => {
+                w.open(Op::Series)?;
+                w.field_if("last", last, *last > 0)?;
+                w.field_if("window_us", window_us, *window_us > 0)
+            }
+            Request::Scan {
+                shard,
+                offset,
+                limit,
+            } => {
+                w.open(Op::Scan)?;
+                w.field("shard", shard)?;
+                w.field("offset", offset)?;
+                w.field("limit", limit)
+            }
+            Request::Ping | Request::Stats | Request::Digest | Request::Shutdown => {
+                w.open(self.op())
+            }
+        }
+    }
+
+    /// Reads the fields of an `op` request in either codec.  The caller
+    /// runs [`check`](Self::check) on the result.
+    pub(crate) fn decode<R: Reader>(op: Op, r: &mut R) -> Result<Self, WireError> {
+        Ok(match op {
+            Op::Get => Request::Get {
+                canonical: r.field("canonical")?,
+            },
+            Op::MultiGet => Request::MultiGet {
+                canonicals: r.field("canonicals")?,
+            },
+            Op::Explore => Request::Explore {
+                points: r.field("points")?,
+            },
+            Op::MultiExplore => Request::MultiExplore {
+                points: r.field("points")?,
+            },
+            Op::Put => Request::Put {
+                records: r.field("records")?,
+            },
+            Op::Ping => Request::Ping,
+            Op::Stats => Request::Stats,
+            Op::Metrics => Request::Metrics {
+                prometheus: r.field_or("format", || MetricsFormat(false))?.0,
+            },
+            Op::Trace => Request::Trace { id: r.field("id")? },
+            Op::Series => Request::Series {
+                last: r.field_or("last", || 0)?,
+                window_us: r.field_or("window_us", || 0)?,
+            },
+            Op::Digest => Request::Digest,
+            Op::Scan => Request::Scan {
+                shard: r.field("shard")?,
+                offset: r.field_or("offset", || 0)?,
+                limit: r.field_or("limit", || 1024)?,
+            },
+            Op::Shutdown => Request::Shutdown,
+        })
+    }
+
+    /// The semantic rules both decoders enforce: non-empty batches, a legal
+    /// trace id, exactly one `series` mode and a positive `scan` limit.
+    ///
+    /// # Errors
+    ///
+    /// A user-facing description of the broken rule.
+    pub(crate) fn check(&self) -> Result<(), String> {
+        let problem = match self {
+            Request::MultiGet { canonicals } if canonicals.is_empty() => {
+                "needs at least one canonical"
+            }
+            Request::Explore { points } | Request::MultiExplore { points } if points.is_empty() => {
+                "needs at least one point"
+            }
+            Request::Put { records } if records.is_empty() => "needs at least one record",
+            Request::Trace { id } if !valid_trace_id(id) => {
+                "id must be 1..=64 bytes of [A-Za-z0-9._-]"
+            }
+            Request::Series { last, window_us } if (*last == 0) == (*window_us == 0) => {
+                "needs exactly one of `last` or `window_us`, non-zero"
+            }
+            Request::Scan { limit: 0, .. } => "limit must be at least 1",
+            _ => return Ok(()),
+        };
+        Err(format!("`{}` {problem}", self.op().name()))
+    }
+
     /// Encodes the request as one JSON line (no trailing newline).
     pub fn render(&self) -> String {
         let mut out = String::with_capacity(64);
@@ -334,49 +562,7 @@ impl Request {
     /// Encodes the request into `out` (no trailing newline), reusing the
     /// buffer's allocation.
     pub fn render_into(&self, out: &mut String) {
-        match self {
-            Request::Get { canonical } => render_get_request(out, canonical),
-            Request::MultiGet { canonicals } => render_mget_request(out, canonicals),
-            Request::Explore { points } => render_points_request(out, "explore", points),
-            Request::MultiExplore { points } => render_points_request(out, "mexplore", points),
-            Request::Put { records } => render_put_request(out, records),
-            Request::Ping => out.push_str(r#"{"op":"ping"}"#),
-            Request::Stats => out.push_str(r#"{"op":"stats"}"#),
-            Request::Metrics { prometheus: false } => out.push_str(r#"{"op":"metrics"}"#),
-            Request::Metrics { prometheus: true } => {
-                out.push_str(r#"{"op":"metrics","format":"prometheus"}"#)
-            }
-            Request::Trace { id } => {
-                out.push_str("{\"op\":\"trace\",\"id\":");
-                render_string(out, id);
-                out.push('}');
-            }
-            Request::Series { last, window_us } => {
-                if *window_us > 0 {
-                    out.push_str("{\"op\":\"series\",\"window_us\":");
-                    out.push_str(&window_us.to_string());
-                } else {
-                    out.push_str("{\"op\":\"series\",\"last\":");
-                    out.push_str(&last.to_string());
-                }
-                out.push('}');
-            }
-            Request::Digest => out.push_str(r#"{"op":"digest"}"#),
-            Request::Scan {
-                shard,
-                offset,
-                limit,
-            } => {
-                out.push_str("{\"op\":\"scan\",\"shard\":");
-                out.push_str(&shard.to_string());
-                out.push_str(",\"offset\":");
-                out.push_str(&offset.to_string());
-                out.push_str(",\"limit\":");
-                out.push_str(&limit.to_string());
-                out.push('}');
-            }
-            Request::Shutdown => out.push_str(r#"{"op":"shutdown"}"#),
-        }
+        JsonWriter::object(out, |w| self.encode(w));
     }
 
     /// Decodes one request line.
@@ -384,153 +570,47 @@ impl Request {
     /// # Errors
     ///
     /// Returns a user-facing description of the first problem (malformed JSON,
-    /// unknown op, missing fields).
+    /// unknown op, missing fields, a broken semantic rule such as an empty
+    /// batch).
     pub fn parse(line: &str) -> Result<Self, String> {
-        if let Some(request) = line.strip_suffix('}').and_then(parse_plain_get) {
-            return Ok(request);
-        }
         let value = JsonValue::parse(line)?;
-        let op = value
+        let name = value
             .get("op")
             .and_then(JsonValue::as_str)
             .ok_or("request needs a string `op` field")?;
-        match op {
-            "get" => Ok(Request::Get {
-                canonical: value
-                    .get("canonical")
-                    .and_then(JsonValue::as_str)
-                    .ok_or("`get` needs a string `canonical` field")?
-                    .to_owned(),
-            }),
-            "mget" => {
-                let items = value
-                    .get("canonicals")
-                    .and_then(JsonValue::as_array)
-                    .ok_or("`mget` needs a `canonicals` array")?;
-                if items.is_empty() {
-                    return Err("`mget` needs at least one canonical".to_owned());
-                }
-                let canonicals = items
-                    .iter()
-                    .map(|item| {
-                        item.as_str()
-                            .map(str::to_owned)
-                            .ok_or("`canonicals` entries must be strings".to_owned())
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok(Request::MultiGet { canonicals })
-            }
-            "explore" => Ok(Request::Explore {
-                points: parse_points(&value, "explore")?,
-            }),
-            "mexplore" => Ok(Request::MultiExplore {
-                points: parse_points(&value, "mexplore")?,
-            }),
-            "put" => {
-                let items = value
-                    .get("records")
-                    .and_then(JsonValue::as_array)
-                    .ok_or("`put` needs a `records` array")?;
-                if items.is_empty() {
-                    return Err("`put` needs at least one record".to_owned());
-                }
-                let records = items
-                    .iter()
-                    .map(PointRecord::from_json_value)
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok(Request::Put { records })
-            }
-            "ping" => Ok(Request::Ping),
-            "stats" => Ok(Request::Stats),
-            "metrics" => match value.get("format").map(JsonValue::as_str) {
-                None => Ok(Request::Metrics { prometheus: false }),
-                Some(Some("json")) => Ok(Request::Metrics { prometheus: false }),
-                Some(Some("prometheus" | "prom")) => Ok(Request::Metrics { prometheus: true }),
-                Some(other) => Err(format!(
-                    "`metrics` format must be \"json\" or \"prometheus\", got {other:?}"
-                )),
-            },
-            "trace" => {
-                let id = value
-                    .get("id")
-                    .and_then(JsonValue::as_str)
-                    .ok_or("`trace` needs a string `id` field")?;
-                if !valid_trace_id(id) {
-                    return Err(format!(
-                        "`trace` id must be 1..={TRACE_MAX_LEN} bytes of [A-Za-z0-9._-]"
-                    ));
-                }
-                Ok(Request::Trace { id: id.to_owned() })
-            }
-            "series" => {
-                let field = |name: &str| -> Result<u64, String> {
-                    match value.get(name) {
-                        None => Ok(0),
-                        Some(v) => v
-                            .as_u64()
-                            .ok_or_else(|| format!("`{name}` must be a number")),
-                    }
-                };
-                let last = field("last")?;
-                let window_us = field("window_us")?;
-                if (last == 0) == (window_us == 0) {
-                    return Err(
-                        "`series` needs exactly one of `last` or `window_us`, non-zero".to_owned(),
-                    );
-                }
-                Ok(Request::Series { last, window_us })
-            }
-            "digest" => Ok(Request::Digest),
-            "scan" => {
-                let shard = value
-                    .get("shard")
-                    .and_then(JsonValue::as_u64)
-                    .ok_or("`scan` needs a numeric `shard` field")?;
-                let offset = match value.get("offset") {
-                    None => 0,
-                    Some(v) => v.as_u64().ok_or("`offset` must be a number")?,
-                };
-                let limit = match value.get("limit") {
-                    None => 1024,
-                    Some(v) => v.as_u64().ok_or("`limit` must be a number")?,
-                };
-                if limit == 0 {
-                    return Err("`scan` limit must be at least 1".to_owned());
-                }
-                Ok(Request::Scan {
-                    shard,
-                    offset,
-                    limit,
-                })
-            }
-            "shutdown" => Ok(Request::Shutdown),
-            other => Err(format!("unknown op `{other}`")),
-        }
+        let op = Op::by_name(name).ok_or_else(|| format!("unknown op `{name}`"))?;
+        let request = Self::decode(op, &mut JsonReader::new(&value, name)).map_err(message)?;
+        request.check()?;
+        Ok(request)
     }
 
     /// Decodes one request line together with its optional `trace` id.
     ///
-    /// Clients render the `trace` member last (see [`stamp_trace`]), so the
-    /// common cases — no trace at all, or a traced hot-path `get` — are
-    /// answered without re-framing the line; only traced non-`get` requests
-    /// pay one small copy to strip the suffix before the general parser.
+    /// The decoder ignores the `trace` member, so this is [`parse`](Self::parse)
+    /// plus [`trace_suffix`]: clients render the member last (see
+    /// [`stamp_trace`]).
     ///
     /// # Errors
     ///
     /// As [`Request::parse`].
     pub fn parse_with_trace(line: &str) -> Result<(Self, Option<String>), String> {
-        let Some((start, id)) = trace_suffix(line) else {
-            return Ok((Self::parse(line)?, None));
-        };
-        let trace = Some(id.to_owned());
-        let body = &line[..start];
-        if let Some(request) = parse_plain_get(body) {
-            return Ok((request, trace));
-        }
-        let mut stripped = String::with_capacity(body.len() + 1);
-        stripped.push_str(body);
-        stripped.push('}');
-        Ok((Self::parse(&stripped)?, trace))
+        let trace = trace_suffix(line).map(|(_, id)| id.to_owned());
+        Ok((Self::parse(line)?, trace))
+    }
+}
+
+impl WireSerde for Request {
+    fn serialize_into(&self, out: &mut impl Write) -> Result<(), WireError> {
+        self.encode(&mut BinWriter(out))
+    }
+
+    fn deserialize_from(reader: &mut impl Read) -> Result<Self, WireError> {
+        let tag = u8::deserialize_from(reader)?;
+        let op = Op::by_tag(tag)
+            .ok_or_else(|| WireError::Corrupt(format!("unknown request tag {tag:#04x}")))?;
+        let request = Self::decode(op, &mut BinReader(reader))?;
+        request.check().map_err(WireError::Corrupt)?;
+        Ok(request)
     }
 }
 
@@ -548,11 +628,38 @@ pub struct ShardDigest {
     pub fold: u64,
 }
 
+/// Implements [`Fields`] for a struct whose fields all travel as required
+/// members, in order: `field: "json key"`.
+macro_rules! plain_fields {
+    ($($ty:ty, $name:literal { $($field:ident: $key:literal),+ };)+) => {$(
+        impl Fields for $ty {
+            const NAME: &'static str = $name;
+
+            fn write_fields<W: Writer>(&self, w: &mut W) -> Result<(), WireError> {
+                $(w.field($key, &self.$field)?;)+
+                Ok(())
+            }
+
+            fn read_fields<R: Reader>(r: &mut R) -> Result<Self, WireError> {
+                Ok(Self { $($field: r.field($key)?),+ })
+            }
+        }
+    )+};
+}
+
+plain_fields! {
+    ShardDigest, "digest" { records: "records", fold: "fold" };
+    SeriesSample, "series sample" { at_us: "at_us", metrics: "metrics" };
+    SnapshotDelta, "series delta" { from_us: "from_us", to_us: "to_us", diff: "metrics" };
+}
+
 /// Request count and latency quantiles of one op, as reported by `stats`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OpStats {
-    /// Op name (`get`, `mget`, `explore`, `mexplore`, `put`, `ping`,
-    /// `stats`, `shutdown`, or `invalid` for unparseable request lines).
+    /// Op name: one of the wire ops in `stats` order (`get`, `mget`,
+    /// `explore`, `mexplore`, `put`, `ping`, `stats`, `metrics`, `trace`,
+    /// `series`, `digest`, `scan`, `shutdown`), or `invalid` for requests
+    /// that failed to decode.
     pub op: String,
     /// Requests of this op handled so far.
     pub count: u64,
@@ -561,6 +668,28 @@ pub struct OpStats {
     pub p50_us: u64,
     /// 99th-percentile service time in microseconds (bucket upper bound).
     pub p99_us: u64,
+}
+
+/// JSON keys the entries by op name (see [`ByName`]), so only binary
+/// carries `op` inside the entry.
+impl Fields for OpStats {
+    const NAME: &'static str = "op stats";
+
+    fn write_fields<W: Writer>(&self, w: &mut W) -> Result<(), WireError> {
+        w.field_if("op", &self.op, false)?;
+        w.field("count", &self.count)?;
+        w.field("p50_us", &self.p50_us)?;
+        w.field("p99_us", &self.p99_us)
+    }
+
+    fn read_fields<R: Reader>(r: &mut R) -> Result<Self, WireError> {
+        Ok(Self {
+            op: r.field_or("op", String::new)?,
+            count: r.field("count")?,
+            p50_us: r.field("p50_us")?,
+            p99_us: r.field("p99_us")?,
+        })
+    }
 }
 
 /// Server statistics reported by [`Request::Stats`].
@@ -603,140 +732,85 @@ impl ServerStats {
     pub fn op(&self, op: &str) -> Option<&OpStats> {
         self.ops.iter().find(|entry| entry.op == op)
     }
+}
 
-    fn to_value(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            (
-                "uptime_ms".to_owned(),
-                JsonValue::Number(self.uptime_ms.to_string()),
-            ),
-            (
-                "uptime_secs".to_owned(),
-                JsonValue::Number(self.uptime_secs.to_string()),
-            ),
-            ("version".to_owned(), JsonValue::Text(self.version.clone())),
-            (
-                "connections".to_owned(),
-                JsonValue::Number(self.connections.to_string()),
-            ),
-            (
-                "requests".to_owned(),
-                JsonValue::Number(self.requests.to_string()),
-            ),
-            ("hits".to_owned(), JsonValue::Number(self.hits.to_string())),
-            (
-                "misses".to_owned(),
-                JsonValue::Number(self.misses.to_string()),
-            ),
-            (
-                "evaluated".to_owned(),
-                JsonValue::Number(self.evaluated.to_string()),
-            ),
-            (
-                "records".to_owned(),
-                JsonValue::Number(self.records().to_string()),
-            ),
-            (
-                "shard_count".to_owned(),
-                JsonValue::Number(self.shard_records.len().to_string()),
-            ),
-            (
-                "shards".to_owned(),
-                JsonValue::Array(
-                    self.shard_records
-                        .iter()
-                        .map(|n| JsonValue::Number(n.to_string()))
-                        .collect(),
-                ),
-            ),
-            (
-                "ops".to_owned(),
-                JsonValue::Object(
-                    self.ops
-                        .iter()
-                        .map(|entry| {
-                            (
-                                entry.op.clone(),
-                                JsonValue::Object(vec![
-                                    (
-                                        "count".to_owned(),
-                                        JsonValue::Number(entry.count.to_string()),
-                                    ),
-                                    (
-                                        "p50_us".to_owned(),
-                                        JsonValue::Number(entry.p50_us.to_string()),
-                                    ),
-                                    (
-                                        "p99_us".to_owned(),
-                                        JsonValue::Number(entry.p99_us.to_string()),
-                                    ),
-                                ]),
-                            )
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
+/// Servers that predate `uptime_secs`, `version` or `ops` still parse: the
+/// first derives from `uptime_ms`, the others default to empty.  The
+/// `records` and `shard_count` totals are JSON-only conveniences.
+impl Fields for ServerStats {
+    const NAME: &'static str = "stats";
+
+    fn write_fields<W: Writer>(&self, w: &mut W) -> Result<(), WireError> {
+        w.field("uptime_ms", &self.uptime_ms)?;
+        w.field("uptime_secs", &self.uptime_secs)?;
+        w.field("version", &self.version)?;
+        w.field("connections", &self.connections)?;
+        w.field("requests", &self.requests)?;
+        w.field("hits", &self.hits)?;
+        w.field("misses", &self.misses)?;
+        w.field("evaluated", &self.evaluated)?;
+        let shards: Vec<u64> = self.shard_records.iter().map(|&n| n as u64).collect();
+        w.json_only("records", &shards.iter().sum::<u64>())?;
+        w.json_only("shard_count", &(shards.len() as u64))?;
+        w.field("shards", &shards)?;
+        w.field("ops", &ByName(self.ops.as_slice()))
     }
 
-    fn from_value(value: &JsonValue) -> Result<Self, String> {
-        let num = |name: &str| -> Result<u64, String> {
-            value
-                .get(name)
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| format!("stats need a numeric `{name}` field"))
-        };
-        let shard_records = value
-            .get("shards")
-            .and_then(JsonValue::as_array)
-            .ok_or("stats need a `shards` array")?
-            .iter()
-            .map(|v| v.as_u64().map(|n| n as usize))
-            .collect::<Option<Vec<_>>>()
-            .ok_or("`shards` entries must be numbers")?;
-        // Absent on pre-batching servers: default to empty rather than erroring,
-        // so a new client can still read an old server's stats.
-        let mut ops = Vec::new();
-        if let Some(JsonValue::Object(entries)) = value.get("ops") {
-            for (op, entry) in entries {
-                let field = |name: &str| -> Result<u64, String> {
-                    entry
-                        .get(name)
-                        .and_then(JsonValue::as_u64)
-                        .ok_or_else(|| format!("op stats need a numeric `{name}` field"))
-                };
-                ops.push(OpStats {
-                    op: op.clone(),
-                    count: field("count")?,
-                    p50_us: field("p50_us")?,
-                    p99_us: field("p99_us")?,
-                });
-            }
-        }
-        let uptime_ms = num("uptime_ms")?;
-        // Absent on servers that predate the field (as are `version` and the
-        // redundant `shard_count`): tolerate, deriving what we can.
-        let uptime_secs = value
-            .get("uptime_secs")
-            .and_then(JsonValue::as_u64)
-            .unwrap_or(uptime_ms / 1000);
-        let version = value
-            .get("version")
-            .and_then(JsonValue::as_str)
-            .unwrap_or("")
-            .to_owned();
+    fn read_fields<R: Reader>(r: &mut R) -> Result<Self, WireError> {
+        let uptime_ms = r.field("uptime_ms")?;
         Ok(Self {
             uptime_ms,
-            uptime_secs,
-            version,
-            connections: num("connections")?,
-            requests: num("requests")?,
-            hits: num("hits")?,
-            misses: num("misses")?,
-            evaluated: num("evaluated")?,
-            shard_records,
-            ops,
+            uptime_secs: r.field_or("uptime_secs", || uptime_ms / 1000)?,
+            version: r.field_or("version", String::new)?,
+            connections: r.field("connections")?,
+            requests: r.field("requests")?,
+            hits: r.field("hits")?,
+            misses: r.field("misses")?,
+            evaluated: r.field("evaluated")?,
+            shard_records: r
+                .field::<Vec<u64>>("shards")?
+                .into_iter()
+                .map(|n| n as usize)
+                .collect(),
+            ops: r.field_or("ops", || ByName(Vec::new()))?.0,
         })
+    }
+}
+
+/// The `stats` op entries: a JSON object keyed by op name, a plain sequence
+/// in binary.
+struct ByName<T>(T);
+
+impl Encode for ByName<&[OpStats]> {
+    fn render(&self, out: &mut String) {
+        out.push('{');
+        for (index, entry) in self.0.iter().enumerate() {
+            if index > 0 {
+                out.push(',');
+            }
+            render_string(out, &entry.op);
+            out.push(':');
+            entry.render(out);
+        }
+        out.push('}');
+    }
+
+    fn write(&self, out: &mut impl Write) -> Result<(), WireError> {
+        self.0.write(out)
+    }
+}
+
+impl Decode for ByName<Vec<OpStats>> {
+    const KIND: &'static str = "an object";
+
+    fn from_json(value: &JsonValue) -> Result<Self, String> {
+        let named = Vec::<(String, OpStats)>::from_json(value)?;
+        let ops = named.into_iter().map(|(op, stats)| OpStats { op, ..stats });
+        Ok(ByName(ops.collect()))
+    }
+
+    fn read(reader: &mut impl Read) -> Result<Self, WireError> {
+        Vec::read(reader).map(ByName)
     }
 }
 
@@ -766,6 +840,41 @@ pub enum PointOutcome {
         /// A user-facing description of the problem.
         error: String,
     },
+}
+
+/// Binary leads with a variant tag; JSON tells the variants apart by the
+/// `error` member.
+impl Fields for PointOutcome {
+    const NAME: &'static str = "outcome";
+
+    fn write_fields<W: Writer>(&self, w: &mut W) -> Result<(), WireError> {
+        match self {
+            PointOutcome::Answered { record, hit } => {
+                w.open(0u8)?;
+                w.field("hit", hit)?;
+                w.field("record", record)
+            }
+            PointOutcome::Failed { error } => {
+                w.open(1u8)?;
+                w.field("error", error)
+            }
+        }
+    }
+
+    fn read_fields<R: Reader>(r: &mut R) -> Result<Self, WireError> {
+        match r.tag(|value| u8::from(value.get("error").is_some()))? {
+            0 => Ok(PointOutcome::Answered {
+                hit: r.field("hit")?,
+                record: r.field("record")?,
+            }),
+            1 => Ok(PointOutcome::Failed {
+                error: r.field("error")?,
+            }),
+            other => Err(WireError::Corrupt(format!(
+                "unknown outcome tag {other:#04x}"
+            ))),
+        }
+    }
 }
 
 /// One response line.
@@ -865,6 +974,103 @@ pub enum Response {
 }
 
 impl Response {
+    /// Writes the response in either codec: each variant's fields, once.
+    pub(crate) fn encode<W: Writer>(&self, w: &mut W) -> Result<(), WireError> {
+        match self {
+            Response::Found { record } => {
+                w.open(Reply::Found)?;
+                w.field("record", record)
+            }
+            Response::NotFound => w.open(Reply::NotFound),
+            Response::MultiGot { records } => write_reply(w, Reply::MultiGot, records),
+            Response::Explored {
+                records,
+                hits,
+                evaluated,
+            } => {
+                write_reply(w, Reply::Explored, records)?;
+                w.field("hits", hits)?;
+                w.field("evaluated", evaluated)
+            }
+            Response::MultiExplored {
+                outcomes,
+                hits,
+                evaluated,
+            } => {
+                write_reply(w, Reply::MultiExplored, outcomes)?;
+                w.field("hits", hits)?;
+                w.field("evaluated", evaluated)
+            }
+            Response::Stored { stored } => write_reply(w, Reply::Stored, stored),
+            Response::Pong => w.open(Reply::Pong),
+            Response::Stats(stats) => write_reply(w, Reply::Stats, stats),
+            Response::Metrics(snapshot) => write_reply(w, Reply::Metrics, snapshot),
+            Response::MetricsText { text } => write_reply(w, Reply::MetricsText, text),
+            Response::Traced { spans } => write_reply(w, Reply::Traced, spans),
+            Response::Series { samples } => write_reply(w, Reply::Series, samples),
+            Response::SeriesDelta { delta } => write_reply(w, Reply::SeriesDelta, delta),
+            Response::Digests { digests } => write_reply(w, Reply::Digests, digests),
+            Response::Scanned { canonicals, done } => {
+                write_reply(w, Reply::Scanned, canonicals)?;
+                w.field("done", done)
+            }
+            Response::ShuttingDown => w.open(Reply::ShuttingDown),
+            Response::Error { message } => write_reply(w, Reply::Error, message),
+        }
+    }
+
+    /// Reads the fields of a `reply` in either codec.
+    pub(crate) fn decode<R: Reader>(reply: Reply, r: &mut R) -> Result<Self, WireError> {
+        Ok(match reply {
+            Reply::Found => Response::Found {
+                record: r.field("record")?,
+            },
+            Reply::NotFound => Response::NotFound,
+            Reply::MultiGot => Response::MultiGot {
+                records: r.field(reply.key())?,
+            },
+            Reply::Explored => Response::Explored {
+                records: r.field(reply.key())?,
+                hits: r.field("hits")?,
+                evaluated: r.field("evaluated")?,
+            },
+            Reply::MultiExplored => Response::MultiExplored {
+                outcomes: r.field(reply.key())?,
+                hits: r.field("hits")?,
+                evaluated: r.field("evaluated")?,
+            },
+            Reply::Stored => Response::Stored {
+                stored: r.field(reply.key())?,
+            },
+            Reply::Pong => Response::Pong,
+            Reply::Stats => Response::Stats(r.field(reply.key())?),
+            Reply::Metrics => Response::Metrics(r.field(reply.key())?),
+            Reply::MetricsText => Response::MetricsText {
+                text: r.field(reply.key())?,
+            },
+            Reply::Traced => Response::Traced {
+                spans: r.field(reply.key())?,
+            },
+            Reply::Series => Response::Series {
+                samples: r.field(reply.key())?,
+            },
+            Reply::SeriesDelta => Response::SeriesDelta {
+                delta: r.field(reply.key())?,
+            },
+            Reply::Digests => Response::Digests {
+                digests: r.field(reply.key())?,
+            },
+            Reply::Scanned => Response::Scanned {
+                canonicals: r.field(reply.key())?,
+                done: r.field("done")?,
+            },
+            Reply::ShuttingDown => Response::ShuttingDown,
+            Reply::Error => Response::Error {
+                message: r.field_or(reply.key(), || "unspecified server error".to_owned())?,
+            },
+        })
+    }
+
     /// Encodes the response as one JSON line (no trailing newline).
     pub fn render(&self) -> String {
         let mut out = String::with_capacity(128);
@@ -877,169 +1083,11 @@ impl Response {
     /// lines (byte-identical to the shard files), so the hot reply paths do
     /// not build an intermediate JSON tree.
     pub fn render_into(&self, out: &mut String) {
-        match self {
-            Response::Found { record } => {
-                out.push_str("{\"ok\":true,\"found\":true,\"record\":");
-                record.write_json_line(out);
-                out.push('}');
-            }
-            Response::NotFound => out.push_str(r#"{"ok":true,"found":false}"#),
-            Response::MultiGot { records } => {
-                out.push_str("{\"ok\":true,\"got\":[");
-                for (index, record) in records.iter().enumerate() {
-                    if index > 0 {
-                        out.push(',');
-                    }
-                    match record {
-                        Some(record) => record.write_json_line(out),
-                        None => out.push_str("null"),
-                    }
-                }
-                out.push_str("]}");
-            }
-            Response::Explored {
-                records,
-                hits,
-                evaluated,
-            } => {
-                out.push_str("{\"ok\":true,\"records\":[");
-                for (index, record) in records.iter().enumerate() {
-                    if index > 0 {
-                        out.push(',');
-                    }
-                    record.write_json_line(out);
-                }
-                out.push_str("],\"hits\":");
-                out.push_str(&hits.to_string());
-                out.push_str(",\"evaluated\":");
-                out.push_str(&evaluated.to_string());
-                out.push('}');
-            }
-            Response::MultiExplored {
-                outcomes,
-                hits,
-                evaluated,
-            } => {
-                out.push_str("{\"ok\":true,\"outcomes\":[");
-                for (index, outcome) in outcomes.iter().enumerate() {
-                    if index > 0 {
-                        out.push(',');
-                    }
-                    match outcome {
-                        PointOutcome::Answered { record, hit } => {
-                            out.push_str(if *hit {
-                                "{\"hit\":true,\"record\":"
-                            } else {
-                                "{\"hit\":false,\"record\":"
-                            });
-                            record.write_json_line(out);
-                            out.push('}');
-                        }
-                        PointOutcome::Failed { error } => {
-                            out.push_str("{\"error\":");
-                            render_string(out, error);
-                            out.push('}');
-                        }
-                    }
-                }
-                out.push_str("],\"hits\":");
-                out.push_str(&hits.to_string());
-                out.push_str(",\"evaluated\":");
-                out.push_str(&evaluated.to_string());
-                out.push('}');
-            }
-            Response::Stored { stored } => {
-                out.push_str("{\"ok\":true,\"stored\":");
-                out.push_str(&stored.to_string());
-                out.push('}');
-            }
-            Response::Pong => out.push_str(r#"{"ok":true,"pong":true}"#),
-            Response::Stats(stats) => {
-                out.push_str("{\"ok\":true,\"stats\":");
-                stats.to_value().render_into(out);
-                out.push('}');
-            }
-            Response::Metrics(snapshot) => {
-                out.push_str("{\"ok\":true,\"metrics\":");
-                snapshot.render_json_into(out);
-                out.push('}');
-            }
-            Response::MetricsText { text } => {
-                out.push_str("{\"ok\":true,\"exposition\":");
-                render_string(out, text);
-                out.push('}');
-            }
-            Response::Traced { spans } => {
-                out.push_str("{\"ok\":true,\"spans\":[");
-                for (index, span) in spans.iter().enumerate() {
-                    if index > 0 {
-                        out.push(',');
-                    }
-                    render_span(out, span);
-                }
-                out.push_str("]}");
-            }
-            Response::Series { samples } => {
-                out.push_str("{\"ok\":true,\"series\":[");
-                for (index, sample) in samples.iter().enumerate() {
-                    if index > 0 {
-                        out.push(',');
-                    }
-                    out.push_str("{\"at_us\":");
-                    out.push_str(&sample.at_us.to_string());
-                    out.push_str(",\"metrics\":");
-                    sample.metrics.render_json_into(out);
-                    out.push('}');
-                }
-                out.push_str("]}");
-            }
-            Response::SeriesDelta { delta } => {
-                out.push_str("{\"ok\":true,\"delta\":{\"from_us\":");
-                out.push_str(&delta.from_us.to_string());
-                out.push_str(",\"to_us\":");
-                out.push_str(&delta.to_us.to_string());
-                out.push_str(",\"metrics\":");
-                delta.diff.render_json_into(out);
-                out.push_str("}}");
-            }
-            Response::Digests { digests } => {
-                out.push_str("{\"ok\":true,\"digests\":[");
-                for (index, digest) in digests.iter().enumerate() {
-                    if index > 0 {
-                        out.push(',');
-                    }
-                    out.push_str("{\"records\":");
-                    out.push_str(&digest.records.to_string());
-                    out.push_str(",\"fold\":");
-                    out.push_str(&digest.fold.to_string());
-                    out.push('}');
-                }
-                out.push_str("]}");
-            }
-            Response::Scanned { canonicals, done } => {
-                out.push_str("{\"ok\":true,\"canonicals\":[");
-                for (index, canonical) in canonicals.iter().enumerate() {
-                    if index > 0 {
-                        out.push(',');
-                    }
-                    render_string(out, canonical);
-                }
-                out.push_str(if *done {
-                    "],\"done\":true}"
-                } else {
-                    "],\"done\":false}"
-                });
-            }
-            Response::ShuttingDown => out.push_str(r#"{"ok":true,"shutting_down":true}"#),
-            Response::Error { message } => {
-                out.push_str("{\"ok\":false,\"error\":");
-                render_string(out, message);
-                out.push('}');
-            }
-        }
+        JsonWriter::object(out, |w| self.encode(w));
     }
 
-    /// Decodes one response line.
+    /// Decodes one response line.  A trailing `trace` member is ignored
+    /// (see [`trace_suffix`]).
     ///
     /// # Errors
     ///
@@ -1051,331 +1099,202 @@ impl Response {
             .get("ok")
             .and_then(JsonValue::as_bool)
             .ok_or("response needs a boolean `ok` field")?;
-        if !ok {
-            return Ok(Response::Error {
-                message: value
-                    .get("error")
-                    .and_then(JsonValue::as_str)
-                    .unwrap_or("unspecified server error")
-                    .to_owned(),
-            });
-        }
-        if let Some(found) = value.get("found").and_then(JsonValue::as_bool) {
-            return if found {
-                Ok(Response::Found {
-                    record: PointRecord::from_json_value(
-                        value
-                            .get("record")
-                            .ok_or("`found` response lacks `record`")?,
-                    )?,
-                })
-            } else {
-                Ok(Response::NotFound)
-            };
-        }
-        if let Some(items) = value.get("got").and_then(JsonValue::as_array) {
-            let records = items
-                .iter()
-                .map(|item| match item {
-                    JsonValue::Null => Ok(None),
-                    other => PointRecord::from_json_value(other).map(Some),
-                })
-                .collect::<Result<Vec<_>, String>>()?;
-            return Ok(Response::MultiGot { records });
-        }
-        if let Some(items) = value.get("outcomes").and_then(JsonValue::as_array) {
-            let outcomes = items
-                .iter()
-                .map(|item| {
-                    if let Some(error) = item.get("error").and_then(JsonValue::as_str) {
-                        return Ok(PointOutcome::Failed {
-                            error: error.to_owned(),
-                        });
-                    }
-                    let hit = item
-                        .get("hit")
-                        .and_then(JsonValue::as_bool)
-                        .ok_or("outcome needs a boolean `hit` field")?;
-                    let record = PointRecord::from_json_value(
-                        item.get("record").ok_or("outcome lacks a `record` field")?,
-                    )?;
-                    Ok(PointOutcome::Answered { record, hit })
-                })
-                .collect::<Result<Vec<_>, String>>()?;
-            let (hits, evaluated) = parse_hits_evaluated(&value, "mexplore")?;
-            return Ok(Response::MultiExplored {
-                outcomes,
-                hits,
-                evaluated,
-            });
-        }
-        if let Some(items) = value.get("records").and_then(JsonValue::as_array) {
-            let records = items
-                .iter()
-                .map(PointRecord::from_json_value)
-                .collect::<Result<Vec<_>, _>>()?;
-            let (hits, evaluated) = parse_hits_evaluated(&value, "explore")?;
-            return Ok(Response::Explored {
-                records,
-                hits,
-                evaluated,
-            });
-        }
-        if let Some(stored) = value.get("stored").and_then(JsonValue::as_u64) {
-            return Ok(Response::Stored { stored });
-        }
-        if value.get("pong").and_then(JsonValue::as_bool) == Some(true) {
-            return Ok(Response::Pong);
-        }
-        if let Some(stats) = value.get("stats") {
-            return Ok(Response::Stats(ServerStats::from_value(stats)?));
-        }
-        if let Some(metrics) = value.get("metrics") {
-            return Ok(Response::Metrics(snapshot_from_value(metrics)?));
-        }
-        if let Some(text) = value.get("exposition").and_then(JsonValue::as_str) {
-            return Ok(Response::MetricsText {
-                text: text.to_owned(),
-            });
-        }
-        if let Some(items) = value.get("spans").and_then(JsonValue::as_array) {
-            let spans = items
-                .iter()
-                .map(span_from_value)
-                .collect::<Result<Vec<_>, _>>()?;
-            return Ok(Response::Traced { spans });
-        }
-        if let Some(items) = value.get("series").and_then(JsonValue::as_array) {
-            let samples = items
-                .iter()
-                .map(|item| {
-                    let at_us = item
-                        .get("at_us")
-                        .and_then(JsonValue::as_u64)
-                        .ok_or("series sample needs a numeric `at_us` field")?;
-                    let metrics = snapshot_from_value(
-                        item.get("metrics")
-                            .ok_or("series sample lacks a `metrics` field")?,
-                    )?;
-                    Ok(SeriesSample { at_us, metrics })
-                })
-                .collect::<Result<Vec<_>, String>>()?;
-            return Ok(Response::Series { samples });
-        }
-        if let Some(item) = value.get("delta") {
-            let field = |name: &str| -> Result<u64, String> {
-                item.get(name)
-                    .and_then(JsonValue::as_u64)
-                    .ok_or_else(|| format!("series delta needs a numeric `{name}` field"))
-            };
-            let diff = snapshot_from_value(
-                item.get("metrics")
-                    .ok_or("series delta lacks a `metrics` field")?,
-            )?;
-            return Ok(Response::SeriesDelta {
-                delta: SnapshotDelta {
-                    from_us: field("from_us")?,
-                    to_us: field("to_us")?,
-                    diff,
-                },
-            });
-        }
-        if let Some(items) = value.get("digests").and_then(JsonValue::as_array) {
-            let digests = items
-                .iter()
-                .map(|item| {
-                    let field = |name: &str| -> Result<u64, String> {
-                        item.get(name)
-                            .and_then(JsonValue::as_u64)
-                            .ok_or_else(|| format!("digest needs a numeric `{name}` field"))
-                    };
-                    Ok(ShardDigest {
-                        records: field("records")?,
-                        fold: field("fold")?,
-                    })
-                })
-                .collect::<Result<Vec<_>, String>>()?;
-            return Ok(Response::Digests { digests });
-        }
-        if let Some(items) = value.get("canonicals").and_then(JsonValue::as_array) {
-            let canonicals = items
-                .iter()
-                .map(|item| {
-                    item.as_str()
-                        .map(str::to_owned)
-                        .ok_or("`canonicals` entries must be strings".to_owned())
-                })
-                .collect::<Result<Vec<_>, String>>()?;
-            let done = value
-                .get("done")
-                .and_then(JsonValue::as_bool)
-                .ok_or("`scan` response needs a boolean `done` field")?;
-            return Ok(Response::Scanned { canonicals, done });
-        }
-        if value.get("shutting_down").and_then(JsonValue::as_bool) == Some(true) {
-            return Ok(Response::ShuttingDown);
-        }
-        Err("unrecognised response shape".to_owned())
+        let reply = if ok {
+            Reply::sniff(&value).ok_or("unrecognised response shape")?
+        } else {
+            Reply::Error
+        };
+        Self::decode(reply, &mut JsonReader::new(&value, reply.key())).map_err(message)
     }
 }
 
-/// Renders one span as a JSON object (the `trace` reply's element shape —
-/// see `docs/observability.md`).  Empty annotation lists are omitted.
-fn render_span(out: &mut String, span: &Span) {
-    out.push_str("{\"trace\":");
-    render_string(out, &span.trace_id);
-    out.push_str(",\"span\":");
-    out.push_str(&span.span_id.to_string());
-    out.push_str(",\"parent\":");
-    out.push_str(&span.parent_id.to_string());
-    out.push_str(",\"name\":");
-    render_string(out, &span.name);
-    out.push_str(",\"start_us\":");
-    out.push_str(&span.start_us.to_string());
-    out.push_str(",\"dur_us\":");
-    out.push_str(&span.dur_us.to_string());
-    if !span.annotations.is_empty() {
-        out.push_str(",\"annotations\":{");
-        for (index, (key, value)) in span.annotations.iter().enumerate() {
-            if index > 0 {
-                out.push(',');
+/// Opens `reply` and writes its first payload field under the reply's key.
+fn write_reply<W: Writer, T: Encode + ?Sized>(
+    w: &mut W,
+    reply: Reply,
+    payload: &T,
+) -> Result<(), WireError> {
+    w.open(reply)?;
+    w.field(reply.key(), payload)
+}
+
+impl WireSerde for Response {
+    fn serialize_into(&self, out: &mut impl Write) -> Result<(), WireError> {
+        self.encode(&mut BinWriter(out))
+    }
+
+    fn deserialize_from(reader: &mut impl Read) -> Result<Self, WireError> {
+        let tag = u8::deserialize_from(reader)?;
+        let reply = Reply::by_tag(tag)
+            .ok_or_else(|| WireError::Corrupt(format!("unknown response tag {tag:#04x}")))?;
+        Self::decode(reply, &mut BinReader(reader))
+    }
+}
+
+/// The `trace` reply's element shape (see `docs/observability.md`); JSON
+/// leaves out an empty annotation list.
+impl Fields for Span {
+    const NAME: &'static str = "span";
+
+    fn write_fields<W: Writer>(&self, w: &mut W) -> Result<(), WireError> {
+        w.field("trace", &self.trace_id)?;
+        w.field("span", &self.span_id)?;
+        w.field("parent", &self.parent_id)?;
+        w.field("name", &self.name)?;
+        w.field("start_us", &self.start_us)?;
+        w.field("dur_us", &self.dur_us)?;
+        w.field_if(
+            "annotations",
+            &self.annotations,
+            !self.annotations.is_empty(),
+        )
+    }
+
+    fn read_fields<R: Reader>(r: &mut R) -> Result<Self, WireError> {
+        Ok(Span {
+            trace_id: r.field("trace")?,
+            span_id: r.field("span")?,
+            parent_id: r.field("parent")?,
+            name: r.field("name")?,
+            start_us: r.field("start_us")?,
+            dur_us: r.field("dur_us")?,
+            annotations: r.field_or("annotations", Vec::new)?,
+        })
+    }
+}
+
+/// A snapshot renders as the `metrics` JSON body; binary carries the
+/// counters and gauges as name/value pairs and each histogram's buckets with
+/// its exemplars as a sparse (bucket index, trace id) list.
+impl Encode for MetricsSnapshot {
+    fn render(&self, out: &mut String) {
+        self.render_json_into(out);
+    }
+
+    fn write(&self, out: &mut impl Write) -> Result<(), WireError> {
+        self.counters.write(out)?;
+        self.gauges.write(out)?;
+        write_seq_len(out, self.histograms.len())?;
+        for (name, histogram) in &self.histograms {
+            write_str(out, name)?;
+            histogram.buckets().to_vec().serialize_into(out)?;
+            let exemplars: Vec<(usize, &str)> = histogram
+                .exemplars()
+                .iter()
+                .enumerate()
+                .filter_map(|(index, id)| id.as_deref().map(|id| (index, id)))
+                .collect();
+            write_seq_len(out, exemplars.len())?;
+            for (index, id) in exemplars {
+                (index as u8).serialize_into(out)?;
+                write_str(out, id)?;
             }
-            render_string(out, key);
-            out.push(':');
-            render_string(out, value);
         }
-        out.push('}');
+        Ok(())
     }
-    out.push('}');
 }
 
-/// Decodes one span of a `trace` reply.
-fn span_from_value(value: &JsonValue) -> Result<Span, String> {
-    let text = |name: &str| -> Result<String, String> {
-        value
-            .get(name)
-            .and_then(JsonValue::as_str)
-            .map(str::to_owned)
-            .ok_or_else(|| format!("span needs a string `{name}` field"))
-    };
-    let number = |name: &str| -> Result<u64, String> {
-        value
-            .get(name)
-            .and_then(JsonValue::as_u64)
-            .ok_or_else(|| format!("span needs a numeric `{name}` field"))
-    };
-    let annotations = match value.get("annotations") {
-        None => Vec::new(),
-        Some(JsonValue::Object(entries)) => entries
-            .iter()
-            .map(|(key, entry)| {
-                entry
-                    .as_str()
-                    .map(|text| (key.clone(), text.to_owned()))
-                    .ok_or_else(|| format!("span annotation `{key}` must be a string"))
-            })
-            .collect::<Result<Vec<_>, _>>()?,
-        Some(_) => return Err("span `annotations` must be an object".to_owned()),
-    };
-    Ok(Span {
-        trace_id: text("trace")?,
-        span_id: number("span")?,
-        parent_id: number("parent")?,
-        name: text("name")?,
-        start_us: number("start_us")?,
-        dur_us: number("dur_us")?,
-        annotations,
-    })
-}
-
-/// Decodes the `metrics` reply body back into a [`MetricsSnapshot`].
-///
 /// Metric names are re-validated on the way in (they render unescaped on
 /// the way out), and histogram bucket arrays may be shorter than the local
 /// bucket count — a trailing-zero-trimmed or older peer's array zero-pads.
-fn snapshot_from_value(value: &JsonValue) -> Result<MetricsSnapshot, String> {
-    let mut snapshot = MetricsSnapshot::default();
-    let entries = |name: &str| -> Result<&[(String, JsonValue)], String> {
-        match value.get(name) {
-            None => Ok(&[]),
-            Some(JsonValue::Object(entries)) => Ok(entries),
-            Some(_) => Err(format!("metrics `{name}` must be an object")),
-        }
-    };
-    for (name, entry) in entries("counters")? {
-        if !valid_metric_name(name) {
-            return Err(format!("illegal metric name {name:?}"));
-        }
-        let count = entry
-            .as_u64()
-            .ok_or_else(|| format!("counter `{name}` must be a non-negative number"))?;
-        snapshot.counters.push((name.clone(), count));
-    }
-    for (name, entry) in entries("gauges")? {
-        if !valid_metric_name(name) {
-            return Err(format!("illegal metric name {name:?}"));
-        }
-        let JsonValue::Number(raw) = entry else {
-            return Err(format!("gauge `{name}` must be a number"));
+impl Decode for MetricsSnapshot {
+    const KIND: &'static str = "an object";
+
+    fn from_json(value: &JsonValue) -> Result<Self, String> {
+        let mut r = JsonReader::new(value, "metrics");
+        let counters = r.field_or("counters", Vec::new).map_err(message)?;
+        let gauges = r.field_or("gauges", Vec::new).map_err(message)?;
+        let mut histograms = Vec::new();
+        let entries: &[(String, JsonValue)] = match value.get("histograms") {
+            None => &[],
+            Some(JsonValue::Object(entries)) => entries,
+            Some(_) => return Err("metrics `histograms` must be an object".to_owned()),
         };
-        let level = raw
-            .parse::<i64>()
-            .map_err(|_| format!("gauge `{name}` must be an integer"))?;
-        snapshot.gauges.push((name.clone(), level));
-    }
-    for (name, entry) in entries("histograms")? {
-        if !valid_metric_name(name) {
-            return Err(format!("illegal metric name {name:?}"));
-        }
-        let buckets = entry
-            .get("buckets")
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| format!("histogram `{name}` needs a `buckets` array"))?
-            .iter()
-            .map(JsonValue::as_u64)
-            .collect::<Option<Vec<_>>>()
-            .ok_or_else(|| format!("histogram `{name}` buckets must be numbers"))?;
-        let mut buckets = HistogramSnapshot::from_buckets(&buckets)
-            .ok_or_else(|| format!("histogram `{name}` carries too many buckets"))?;
-        match entry.get("exemplars") {
-            None => {}
-            Some(JsonValue::Object(exemplars)) => {
-                // Keys are the bucket upper bounds `(1 << index) - 1` the
-                // JSON rendering emits; unknown bounds are ignored so newer
-                // peers with more buckets still parse.
-                for (le, id) in exemplars {
-                    let (Ok(bound), Some(id)) = (le.parse::<u64>(), id.as_str()) else {
-                        return Err(format!(
-                            "histogram `{name}` exemplars must map bucket bounds to trace ids"
-                        ));
-                    };
-                    if let Some(index) =
-                        (0..LATENCY_BUCKETS).find(|i| (1u64 << i).wrapping_sub(1) == bound)
-                    {
-                        buckets.set_exemplar(index, id.to_owned());
+        for (name, entry) in entries {
+            let buckets = entry
+                .get("buckets")
+                .and_then(JsonValue::as_array)
+                .ok_or_else(|| format!("histogram `{name}` needs a `buckets` array"))?
+                .iter()
+                .map(JsonValue::as_u64)
+                .collect::<Option<Vec<_>>>()
+                .ok_or_else(|| format!("histogram `{name}` buckets must be numbers"))?;
+            let mut buckets = HistogramSnapshot::from_buckets(&buckets)
+                .ok_or_else(|| format!("histogram `{name}` carries too many buckets"))?;
+            match entry.get("exemplars") {
+                None => {}
+                Some(JsonValue::Object(exemplars)) => {
+                    // Keys are the bucket upper bounds `(1 << index) - 1` the
+                    // JSON rendering emits; unknown bounds are ignored so newer
+                    // peers with more buckets still parse.
+                    for (le, id) in exemplars {
+                        let (Ok(bound), Some(id)) = (le.parse::<u64>(), id.as_str()) else {
+                            return Err(format!(
+                                "histogram `{name}` exemplars must map bucket bounds to trace ids"
+                            ));
+                        };
+                        if let Some(index) =
+                            (0..LATENCY_BUCKETS).find(|i| (1u64 << i).wrapping_sub(1) == bound)
+                        {
+                            buckets.set_exemplar(index, id.to_owned());
+                        }
                     }
                 }
+                Some(_) => {
+                    return Err(format!("histogram `{name}` exemplars must be an object"));
+                }
             }
-            Some(_) => {
-                return Err(format!("histogram `{name}` exemplars must be an object"));
-            }
+            histograms.push((name.clone(), buckets));
         }
-        snapshot.histograms.push((name.clone(), buckets));
+        checked_names(MetricsSnapshot {
+            counters,
+            gauges,
+            histograms,
+        })
     }
-    Ok(snapshot)
+
+    fn read(reader: &mut impl Read) -> Result<Self, WireError> {
+        let counters = Vec::read(reader)?;
+        let gauges = Vec::read(reader)?;
+        let count = read_len(reader, MAX_SEQ_LEN, "histograms")?;
+        let mut histograms = Vec::with_capacity(count.min(4096));
+        for _ in 0..count {
+            let name = String::read(reader)?;
+            let buckets = Vec::<u64>::read(reader)?;
+            let mut histogram = HistogramSnapshot::from_buckets(&buckets).ok_or_else(|| {
+                WireError::Corrupt(format!("histogram `{name}` carries too many buckets"))
+            })?;
+            let exemplars = read_len(reader, MAX_SEQ_LEN, "exemplars")?;
+            for _ in 0..exemplars {
+                let index = u8::deserialize_from(reader)? as usize;
+                let id = String::read(reader)?;
+                // Out-of-range indices are ignored, as in the JSON decoding.
+                histogram.set_exemplar(index, id);
+            }
+            histograms.push((name, histogram));
+        }
+        checked_names(MetricsSnapshot {
+            counters,
+            gauges,
+            histograms,
+        })
+        .map_err(WireError::Corrupt)
+    }
 }
 
-/// Parses the `hits`/`evaluated` totals shared by the explore-shaped replies.
-fn parse_hits_evaluated(value: &JsonValue, op: &str) -> Result<(u64, u64), String> {
-    let hits = value
-        .get("hits")
-        .and_then(JsonValue::as_u64)
-        .ok_or_else(|| format!("`{op}` response lacks `hits`"))?;
-    let evaluated = value
-        .get("evaluated")
-        .and_then(JsonValue::as_u64)
-        .ok_or_else(|| format!("`{op}` response lacks `evaluated`"))?;
-    Ok((hits, evaluated))
+/// Rejects a decoded snapshot carrying an illegal metric name.
+fn checked_names(snapshot: MetricsSnapshot) -> Result<MetricsSnapshot, String> {
+    let counters = snapshot.counters.iter().map(|(name, _)| name);
+    let gauges = snapshot.gauges.iter().map(|(name, _)| name);
+    let histograms = snapshot.histograms.iter().map(|(name, _)| name);
+    match counters
+        .chain(gauges)
+        .chain(histograms)
+        .find(|name| !valid_metric_name(name))
+    {
+        Some(name) => Err(format!("illegal metric name {name:?}")),
+        None => Ok(snapshot),
+    }
 }
 
 #[cfg(test)]
@@ -1444,6 +1363,24 @@ mod tests {
         latency.record_micros(5_000);
         latency.record_traced(std::time::Duration::from_micros(90), "sweep-7.a");
         registry.snapshot()
+    }
+
+    #[test]
+    fn op_and_reply_tables_have_distinct_names_and_tags() {
+        for (index, row) in OPS.iter().enumerate() {
+            assert_eq!(row.0 as usize, index);
+            let earlier = &OPS[..index];
+            assert!(earlier
+                .iter()
+                .all(|other| other.1 != row.1 && other.2 != row.2));
+            assert_eq!(Op::by_name(row.1), Some(row.0));
+            assert_eq!(Op::by_tag(row.2), Some(row.0));
+        }
+        for (index, row) in REPLIES.iter().enumerate() {
+            assert_eq!(row.0 as usize, index);
+            assert!(REPLIES[..index].iter().all(|other| other.1 != row.1));
+            assert_eq!(Reply::by_tag(row.1), Some(row.0));
+        }
     }
 
     #[test]
@@ -1648,7 +1585,7 @@ mod tests {
     fn stats_totals_sum_the_shards_and_carry_op_latencies() {
         let stats = sample_stats();
         assert_eq!(stats.records(), 8);
-        let rendered = stats.to_value().render();
+        let rendered = Response::Stats(stats.clone()).render();
         assert!(rendered.contains("\"records\":8"));
         assert!(rendered.contains("\"ops\":{\"get\":{\"count\":9,\"p50_us\":63,\"p99_us\":255}"));
         assert_eq!(stats.op("get").unwrap().count, 9);
@@ -1670,7 +1607,7 @@ mod tests {
 
     #[test]
     fn stats_carry_uptime_version_and_shard_count() {
-        let rendered = sample_stats().to_value().render();
+        let rendered = Response::Stats(sample_stats()).render();
         assert!(rendered.contains("\"uptime_secs\":1"));
         assert!(rendered.contains("\"version\":\"0.1.0\""));
         assert!(rendered.contains("\"shard_count\":4"));

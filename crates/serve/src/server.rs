@@ -50,7 +50,7 @@ use crate::binary::{
     BINARY_MAGIC,
 };
 use crate::protocol::{
-    stamp_trace, OpStats, PointOutcome, QueryPoint, Request, Response, ServerStats,
+    stamp_trace, Op, OpStats, PointOutcome, QueryPoint, Request, Response, ServerStats, OPS,
 };
 use crate::shard::{ShardError, ShardedStore};
 
@@ -202,31 +202,19 @@ impl Inflight {
     }
 }
 
-/// The protocol ops the server accounts for, in the fixed `stats` reporting
-/// order.  `Invalid` covers request lines that failed to parse.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Op {
-    Get,
-    MultiGet,
-    Explore,
-    MultiExplore,
-    Put,
-    Ping,
-    Stats,
-    Metrics,
-    Trace,
-    Series,
-    Digest,
-    Scan,
-    Shutdown,
-    Invalid,
+/// Accounting slots: one per op in [`OPS`] order, then `invalid` for
+/// requests that failed to decode.
+const SLOTS: usize = OPS.len() + 1;
+
+/// The accounting slot of a decoded op, or of a failed decode (`None`).
+fn slot(op: Option<Op>) -> usize {
+    op.map_or(OPS.len(), |op| op as usize)
 }
 
-/// Wire names of the ops, indexed by `Op as usize`.
-const OP_NAMES: [&str; 14] = [
-    "get", "mget", "explore", "mexplore", "put", "ping", "stats", "metrics", "trace", "series",
-    "digest", "scan", "shutdown", "invalid",
-];
+/// The name of an accounting slot, as `stats` and the metric names show it.
+fn slot_name(slot: usize) -> &'static str {
+    OPS.get(slot).map_or("invalid", |row| row.1)
+}
 
 /// Count + latency histogram of one op (handles into the server registry).
 #[derive(Debug)]
@@ -268,8 +256,8 @@ struct Counters {
     codec_json: Arc<Counter>,
     /// Idle keep-alive connections reaped by the idle-connection deadline.
     idle_reaped: Arc<Counter>,
-    /// Per-op accounting, indexed by `Op as usize`.
-    ops: [OpCounter; OP_NAMES.len()],
+    /// Per-op accounting, indexed by [`slot`].
+    ops: [OpCounter; SLOTS],
 }
 
 impl Counters {
@@ -293,17 +281,18 @@ impl Counters {
             codec_json: registry.counter("serve_codec_json_total"),
             idle_reaped: registry.counter("serve_idle_reaped_total"),
             ops: std::array::from_fn(|index| OpCounter {
-                count: registry.counter(&format!("serve_op_{}_total", OP_NAMES[index])),
-                latency: registry.histogram(&format!("serve_op_{}_latency_us", OP_NAMES[index])),
+                count: registry.counter(&format!("serve_op_{}_total", slot_name(index))),
+                latency: registry.histogram(&format!("serve_op_{}_latency_us", slot_name(index))),
             }),
         }
     }
 
-    /// Records one handled request of `op` that took `elapsed` to serve.  A
-    /// traced request also stamps its trace id as the latency bucket's
-    /// exemplar, so a histogram outlier links straight to a fetchable trace.
-    fn record_op(&self, op: Op, elapsed: Duration, trace: Option<&str>) {
-        let counter = &self.ops[op as usize];
+    /// Records one handled request in accounting `slot` that took `elapsed`
+    /// to serve.  A traced request also stamps its trace id as the latency
+    /// bucket's exemplar, so a histogram outlier links straight to a
+    /// fetchable trace.
+    fn record_op(&self, slot: usize, elapsed: Duration, trace: Option<&str>) {
+        let counter = &self.ops[slot];
         counter.count.inc();
         match trace {
             Some(id) => counter.latency.record_traced(elapsed, id),
@@ -313,11 +302,11 @@ impl Counters {
 
     /// The per-op stats in fixed reporting order.
     fn op_stats(&self) -> Vec<OpStats> {
-        OP_NAMES
+        self.ops
             .iter()
-            .zip(&self.ops)
-            .map(|(name, counter)| OpStats {
-                op: (*name).to_owned(),
+            .enumerate()
+            .map(|(slot, counter)| OpStats {
+                op: slot_name(slot).to_owned(),
                 count: counter.count.get(),
                 p50_us: counter.latency.quantile(0.50),
                 p99_us: counter.latency.quantile(0.99),
@@ -838,7 +827,6 @@ fn serve_connection_requests(state: &ServerState, stream: TcpStream, local_addr:
             Err(_) => return,
         };
         let started;
-        let parse_elapsed;
         let parsed: Result<(Request, Option<String>), String>;
         if binary {
             match read_frame(&mut reader, &mut payload) {
@@ -848,7 +836,7 @@ fn serve_connection_requests(state: &ServerState, stream: TcpStream, local_addr:
                     // a binary error frame, then close the connection.
                     state.counters.requests.inc();
                     state.counters.codec_binary.inc();
-                    state.counters.record_op(Op::Invalid, Duration::ZERO, None);
+                    state.counters.record_op(slot(None), Duration::ZERO, None);
                     frame.clear();
                     let reply = Response::Error {
                         message: FrameError::BadLength(len).to_string(),
@@ -864,14 +852,11 @@ fn serve_connection_requests(state: &ServerState, stream: TcpStream, local_addr:
                 Err(FrameError::Io(_) | FrameError::BadMagic(_)) => return,
             }
             started = Instant::now();
-            state.counters.requests.inc();
             state.counters.codec_binary.inc();
             // A payload that fails to decode is recoverable: the frame
             // boundary was already consumed, so answer the error and keep
             // the connection (no desync).
             parsed = decode_payload::<Request>(&payload).map_err(|err| err.to_string());
-            parse_elapsed = started.elapsed();
-            state.counters.codec_parse_us.record(parse_elapsed);
         } else {
             line.clear();
             match reader.read_line(&mut line) {
@@ -879,20 +864,19 @@ fn serve_connection_requests(state: &ServerState, stream: TcpStream, local_addr:
                 Ok(_) => {}
                 Err(_) => return, // Peer vanished mid-line.
             }
-            // Strip the line terminator (read_line keeps it): the codec's
-            // fast paths match the exact rendered framing, terminator
-            // excluded.
+            // Strip the line terminator (read_line keeps it): the trace
+            // suffix sits right before the closing brace.
             let request_line = line.trim_end_matches(['\n', '\r']);
             if request_line.trim().is_empty() {
                 continue;
             }
             started = Instant::now();
-            state.counters.requests.inc();
             state.counters.codec_json.inc();
             parsed = Request::parse_with_trace(request_line);
-            parse_elapsed = started.elapsed();
-            state.counters.codec_parse_us.record(parse_elapsed);
         }
+        let parse_elapsed = started.elapsed();
+        state.counters.requests.inc();
+        state.counters.codec_parse_us.record(parse_elapsed);
         let trace = match &parsed {
             Ok((_, trace)) => {
                 if trace.is_some() {
@@ -915,57 +899,10 @@ fn serve_connection_requests(state: &ServerState, stream: TcpStream, local_addr:
                     if binary { "binary" } else { "json" }.to_owned(),
                 ));
         }
-        let (response, op, shutdown) = match parsed {
-            Err(message) => (Response::Error { message }, Op::Invalid, false),
-            Ok((Request::Get { canonical }, _)) => (
-                handle_get(state, &canonical, collector.as_mut()),
-                Op::Get,
-                false,
-            ),
-            Ok((Request::MultiGet { canonicals }, _)) => (
-                handle_mget(state, &canonicals, collector.as_mut()),
-                Op::MultiGet,
-                false,
-            ),
-            Ok((Request::Explore { points }, _)) => (
-                handle_explore(state, &points, trace_ref, collector.as_mut()),
-                Op::Explore,
-                false,
-            ),
-            Ok((Request::MultiExplore { points }, _)) => (
-                handle_mexplore(state, &points, trace_ref, collector.as_mut()),
-                Op::MultiExplore,
-                false,
-            ),
-            Ok((Request::Put { records }, _)) => (handle_put(state, &records), Op::Put, false),
-            Ok((Request::Ping, _)) => (Response::Pong, Op::Ping, false),
-            Ok((Request::Stats, _)) => (
-                match snapshot_stats(state) {
-                    Ok(stats) => Response::Stats(stats),
-                    Err(err) => Response::Error {
-                        message: err.to_string(),
-                    },
-                },
-                Op::Stats,
-                false,
-            ),
-            Ok((Request::Metrics { prometheus }, _)) => {
-                (handle_metrics(state, prometheus), Op::Metrics, false)
-            }
-            Ok((Request::Trace { id }, _)) => (handle_trace(state, &id), Op::Trace, false),
-            Ok((Request::Series { last, window_us }, _)) => {
-                (handle_series(state, last, window_us), Op::Series, false)
-            }
-            Ok((Request::Digest, _)) => (handle_digest(state), Op::Digest, false),
-            Ok((
-                Request::Scan {
-                    shard,
-                    offset,
-                    limit,
-                },
-                _,
-            )) => (handle_scan(state, shard, offset, limit), Op::Scan, false),
-            Ok((Request::Shutdown, _)) => (Response::ShuttingDown, Op::Shutdown, true),
+        let op = parsed.as_ref().ok().map(|(request, _)| request.op());
+        let response = match parsed {
+            Ok((request, _)) => handle(state, request, trace_ref, collector.as_mut()),
+            Err(message) => Response::Error { message },
         };
         let render_started = Instant::now();
         let reply_bytes: &[u8] = if binary {
@@ -1002,21 +939,21 @@ fn serve_connection_requests(state: &ServerState, stream: TcpStream, local_addr:
         // so the spans have to reach the flight recorder first.  `elapsed`
         // therefore covers parse through render, not the socket write.
         let elapsed = started.elapsed();
-        state.counters.record_op(op, elapsed, trace_ref);
+        let slot = slot(op);
+        state.counters.record_op(slot, elapsed, trace_ref);
         let slow =
             state.slow_query_us > 0 && elapsed.as_micros() >= u128::from(state.slow_query_us);
         let mut span_note = String::new();
         if let Some(mut spans) = collector.take() {
             spans.child("render", render_started, render_elapsed);
             if slow {
-                span_note = spans.slow_note(2);
+                span_note = format!(" spans={}", spans.slow_note(2));
             }
             let trace_id = spans.trace_id.clone();
-            state.registry.traces().record_all(spans.finish(
-                OP_NAMES[op as usize],
-                started,
-                elapsed,
-            ));
+            state
+                .registry
+                .traces()
+                .record_all(spans.finish(slot_name(slot), started, elapsed));
             if slow {
                 // Pin after recording: the pin copies this trace's spans out
                 // of the ring into the retained set.
@@ -1026,21 +963,12 @@ fn serve_connection_requests(state: &ServerState, stream: TcpStream, local_addr:
         }
         if slow {
             state.counters.slow_queries.inc();
-            if span_note.is_empty() {
-                eprintln!(
-                    "srra-serve slow-query: op={} elapsed_us={} trace={}",
-                    OP_NAMES[op as usize],
-                    elapsed.as_micros(),
-                    trace_ref.unwrap_or("-"),
-                );
-            } else {
-                eprintln!(
-                    "srra-serve slow-query: op={} elapsed_us={} trace={} spans={span_note}",
-                    OP_NAMES[op as usize],
-                    elapsed.as_micros(),
-                    trace_ref.unwrap_or("-"),
-                );
-            }
+            eprintln!(
+                "srra-serve slow-query: op={} elapsed_us={} trace={}{span_note}",
+                slot_name(slot),
+                elapsed.as_micros(),
+                trace_ref.unwrap_or("-"),
+            );
         }
         let mut sent = writer.write_all(reply_bytes);
         // Defer the flush only while the read buffer still holds a complete
@@ -1052,7 +980,7 @@ fn serve_connection_requests(state: &ServerState, stream: TcpStream, local_addr:
         if sent.is_ok() && !holds_complete_request(reader.buffer()) {
             sent = writer.flush();
         }
-        if shutdown {
+        if op == Some(Op::Shutdown) {
             let _ = writer.flush();
             state.shutdown.store(true, Ordering::SeqCst);
             // Poke the accept loop awake; it re-checks the flag and exits.
@@ -1069,12 +997,50 @@ fn serve_connection_requests(state: &ServerState, stream: TcpStream, local_addr:
     }
 }
 
+/// Answers one decoded request.
+fn handle(
+    state: &ServerState,
+    request: Request,
+    trace: Option<&str>,
+    collector: Option<&mut SpanCollector>,
+) -> Response {
+    match request {
+        Request::Get { canonical } => handle_get(state, &canonical, collector),
+        Request::MultiGet { canonicals } => handle_mget(state, &canonicals, collector),
+        Request::Explore { points } => handle_points(state, &points, false, trace, collector),
+        Request::MultiExplore { points } => handle_points(state, &points, true, trace, collector),
+        Request::Put { records } => handle_put(state, &records),
+        Request::Ping => Response::Pong,
+        Request::Stats => match snapshot_stats(state) {
+            Ok(stats) => Response::Stats(stats),
+            Err(err) => Response::Error {
+                message: err.to_string(),
+            },
+        },
+        Request::Metrics { prometheus } => handle_metrics(state, prometheus),
+        // The flight recorder is best-effort: an unknown or churned-out
+        // trace answers an empty list, not an error.
+        Request::Trace { id } => Response::Traced {
+            spans: state.registry.traces().snapshot(&id),
+        },
+        Request::Series { last, window_us } => handle_series(state, last, window_us),
+        Request::Digest => Response::Digests {
+            digests: state.store.digests(),
+        },
+        Request::Scan {
+            shard,
+            offset,
+            limit,
+        } => handle_scan(state, shard, offset, limit),
+        Request::Shutdown => Response::ShuttingDown,
+    }
+}
+
 /// Answers a `metrics` scrape: this server's registry merged with the
 /// process-global one (explore engine, sharded store, wire clients), as JSON
 /// or as a Prometheus-style text exposition.
 fn handle_metrics(state: &ServerState, prometheus: bool) -> Response {
-    let mut snapshot = state.registry.snapshot();
-    snapshot.merge(&Registry::global().snapshot());
+    let snapshot = merged_snapshot(state);
     if prometheus {
         Response::MetricsText {
             text: snapshot.render_prometheus(),
@@ -1103,23 +1069,6 @@ fn handle_series(state: &ServerState, last: u64, window_us: u64) -> Response {
                       (`--sample-interval-ms`)?"
                 .to_owned(),
         },
-    }
-}
-
-/// Answers a `trace`: everything the flight recorder retains for the id.
-/// An unknown or churned-out trace answers an empty list, not an error — the
-/// recorder is best-effort by design.
-fn handle_trace(state: &ServerState, id: &str) -> Response {
-    Response::Traced {
-        spans: state.registry.traces().snapshot(id),
-    }
-}
-
-/// Answers a `digest`: one per-shard anti-entropy digest, in shard order
-/// (see [`ShardedStore::digests`]).
-fn handle_digest(state: &ServerState) -> Response {
-    Response::Digests {
-        digests: state.store.digests(),
     }
 }
 
@@ -1159,22 +1108,31 @@ fn shard_lookup(
     }
 }
 
+/// One pure lookup by canonical (never evaluates), counted as a hit or a
+/// miss.
+fn lookup(
+    state: &ServerState,
+    canonical: &str,
+    collector: Option<&mut SpanCollector>,
+) -> Result<Option<PointRecord>, ShardError> {
+    let key = srra_explore::fnv1a_64(canonical.as_bytes());
+    let record = shard_lookup(state, key, canonical, collector)?;
+    match record {
+        Some(_) => state.counters.hits.inc(),
+        None => state.counters.misses.inc(),
+    }
+    Ok(record)
+}
+
 /// Answers a `get`: pure lookup, never evaluates.
 fn handle_get(
     state: &ServerState,
     canonical: &str,
     collector: Option<&mut SpanCollector>,
 ) -> Response {
-    let key = srra_explore::fnv1a_64(canonical.as_bytes());
-    match shard_lookup(state, key, canonical, collector) {
-        Ok(Some(record)) => {
-            state.counters.hits.inc();
-            Response::Found { record }
-        }
-        Ok(None) => {
-            state.counters.misses.inc();
-            Response::NotFound
-        }
+    match lookup(state, canonical, collector) {
+        Ok(Some(record)) => Response::Found { record },
+        Ok(None) => Response::NotFound,
         Err(err) => Response::Error {
             message: err.to_string(),
         },
@@ -1188,26 +1146,16 @@ fn handle_mget(
     canonicals: &[String],
     mut collector: Option<&mut SpanCollector>,
 ) -> Response {
-    let mut records = Vec::with_capacity(canonicals.len());
-    for canonical in canonicals {
-        let key = srra_explore::fnv1a_64(canonical.as_bytes());
-        match shard_lookup(state, key, canonical, collector.as_deref_mut()) {
-            Ok(Some(record)) => {
-                state.counters.hits.inc();
-                records.push(Some(record));
-            }
-            Ok(None) => {
-                state.counters.misses.inc();
-                records.push(None);
-            }
-            Err(err) => {
-                return Response::Error {
-                    message: err.to_string(),
-                }
-            }
-        }
+    let records = canonicals
+        .iter()
+        .map(|canonical| lookup(state, canonical, collector.as_deref_mut()))
+        .collect();
+    match records {
+        Ok(records) => Response::MultiGot { records },
+        Err(err) => Response::Error {
+            message: err.to_string(),
+        },
     }
-    Response::MultiGot { records }
 }
 
 /// Answers a `put`: stores pre-evaluated records verbatim, skipping records
@@ -1243,11 +1191,14 @@ fn handle_put(state: &ServerState, records: &[PointRecord]) -> Response {
     Response::Stored { stored }
 }
 
-/// Answers an `mexplore` batch: like `explore`, but a point that fails to
-/// resolve yields a per-point error instead of failing the whole batch.
-fn handle_mexplore(
+/// Answers an `explore` batch, or with `multi` an `mexplore` batch: hits
+/// from the shards, misses evaluated exactly once (across all concurrent
+/// clients) and written back.  A point that fails to resolve fails the
+/// whole `explore`, but only its own `mexplore` outcome.
+fn handle_points(
     state: &ServerState,
     points: &[QueryPoint],
+    multi: bool,
     trace: Option<&str>,
     mut collector: Option<&mut SpanCollector>,
 ) -> Response {
@@ -1256,51 +1207,32 @@ fn handle_mexplore(
     let mut evaluated = 0;
     for point in points {
         match answer_point(state, point, trace, collector.as_deref_mut()) {
-            Ok((record, was_hit)) => {
-                if was_hit {
+            Ok((record, hit)) => {
+                if hit {
                     hits += 1;
                 } else {
                     evaluated += 1;
                 }
-                outcomes.push(PointOutcome::Answered {
-                    record,
-                    hit: was_hit,
-                });
+                outcomes.push(PointOutcome::Answered { record, hit });
             }
+            Err(message) if !multi => return Response::Error { message },
             Err(error) => outcomes.push(PointOutcome::Failed { error }),
         }
     }
-    Response::MultiExplored {
-        outcomes,
-        hits,
-        evaluated,
+    if multi {
+        return Response::MultiExplored {
+            outcomes,
+            hits,
+            evaluated,
+        };
     }
-}
-
-/// Answers an `explore` batch: hits from the shards, misses evaluated exactly
-/// once (across all concurrent clients) and written back.
-fn handle_explore(
-    state: &ServerState,
-    points: &[QueryPoint],
-    trace: Option<&str>,
-    mut collector: Option<&mut SpanCollector>,
-) -> Response {
-    let mut records = Vec::with_capacity(points.len());
-    let mut hits = 0;
-    let mut evaluated = 0;
-    for point in points {
-        match answer_point(state, point, trace, collector.as_deref_mut()) {
-            Ok((record, was_hit)) => {
-                if was_hit {
-                    hits += 1;
-                } else {
-                    evaluated += 1;
-                }
-                records.push(record);
-            }
-            Err(message) => return Response::Error { message },
-        }
-    }
+    let records = outcomes
+        .into_iter()
+        .filter_map(|outcome| match outcome {
+            PointOutcome::Answered { record, .. } => Some(record),
+            PointOutcome::Failed { .. } => None,
+        })
+        .collect();
     Response::Explored {
         records,
         hits,

@@ -29,6 +29,10 @@
 #                           reborn node is healed by read-repair and
 #                           converged by `cluster repair`; idle-connection
 #                           reaping under --idle-timeout-secs)
+#  11. storage smoke test  (`explore --cache` is one segment file whose warm
+#                           re-run evaluates nothing; `srra migrate` copies a
+#                           JSON-lines cache; a directory of JSON-lines shards
+#                           is refused untouched, naming `srra migrate`)
 #
 # Run from the repository root: ./ci.sh
 set -euo pipefail
@@ -211,6 +215,40 @@ grep -aq 'kernel=fir;' "$SMOKE_DIR"/cache/shard-*.seg \
   || { echo "serve smoke: shards are empty"; exit 1; }
 grep -aq 'kernel=mat;' "$SMOKE_DIR"/cache/shard-*.seg \
   || { echo "serve smoke: mexplore record missing"; exit 1; }
+
+echo "==> storage smoke test"
+# `--cache` is a single segment file: the warm re-run answers every point
+# from it and prints byte-identical tables.
+STORE_AXES="--kernel fir,mat --algos fr,cpa --budgets 8,16 --jobs 2"
+"$SRRA" explore $STORE_AXES --cache "$SMOKE_DIR/one.seg" \
+  > "$SMOKE_DIR/one-cold.out" 2> "$SMOKE_DIR/one-cold.err"
+"$SRRA" explore $STORE_AXES --cache "$SMOKE_DIR/one.seg" \
+  > "$SMOKE_DIR/one-warm.out" 2> "$SMOKE_DIR/one-warm.err"
+grep -q ' 8 evaluated' "$SMOKE_DIR/one-cold.err" \
+  || { echo "storage smoke: cold --cache run"; exit 1; }
+grep -q ' 0 evaluated' "$SMOKE_DIR/one-warm.err" \
+  || { echo "storage smoke: warm --cache run re-evaluated"; exit 1; }
+cmp -s "$SMOKE_DIR/one-cold.out" "$SMOKE_DIR/one-warm.out" \
+  || { echo "storage smoke: warm --cache output differs"; exit 1; }
+# `srra migrate` copies the two-record JSON-lines fixture into a sharded
+# segment cache.
+"$SRRA" migrate crates/serve/tests/golden/record.jsonl \
+  --cache-dir "$SMOKE_DIR/migrated" \
+  | grep -q ': 2 migrated, 0 duplicates' || { echo "storage smoke: migrate"; exit 1; }
+# A cache directory still holding JSON-lines shards is refused, names the
+# converter, and is left exactly as it was.
+mkdir -p "$SMOKE_DIR/legacy"
+cp crates/serve/tests/golden/record.jsonl "$SMOKE_DIR/legacy/shard-000.jsonl"
+if "$SRRA" explore --kernel fir --cache-dir "$SMOKE_DIR/legacy" \
+  > /dev/null 2> "$SMOKE_DIR/legacy.err"; then
+  echo "storage smoke: a JSON-lines shard directory was opened"; exit 1
+fi
+grep -q 'srra migrate' "$SMOKE_DIR/legacy.err" \
+  || { echo "storage smoke: legacy error does not name srra migrate"; exit 1; }
+[ "$(ls "$SMOKE_DIR/legacy")" = "shard-000.jsonl" ] \
+  || { echo "storage smoke: the legacy directory was modified"; exit 1; }
+cmp -s crates/serve/tests/golden/record.jsonl "$SMOKE_DIR/legacy/shard-000.jsonl" \
+  || { echo "storage smoke: the legacy shard was rewritten"; exit 1; }
 
 echo "==> cluster smoke test"
 # Two independent serve nodes; the router splits the key space between them.

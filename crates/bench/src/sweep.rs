@@ -8,7 +8,7 @@
 //! Since the `srra-explore` engine landed, every sweep is a thin shim over a
 //! [`DesignSpace`] exploration: points are evaluated in parallel and deduplicated
 //! through a [`ResultStore`], so driving several sweeps through one shared store (or a
-//! persistent [`srra_explore::JsonlStore`]) never re-evaluates a design point.  The
+//! persistent [`srra_explore::SegmentStore`]) never re-evaluates a design point.  The
 //! reported `*_cycles` are the steady-state memory cycles of the cost model at the
 //! swept RAM latency — numerically identical to the pre-engine implementation.
 

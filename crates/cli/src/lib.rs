@@ -10,8 +10,10 @@
 //! srra dot example                  # Graphviz dump of the DFG + critical graph
 //! srra figure2                      # reproduce Figure 2(c)
 //! srra table1                       # reproduce Table 1
-//! srra explore --kernel fir --budgets 8,16,32,64 --jobs 4 --cache /tmp/srra.jsonl
+//! srra explore --kernel fir --budgets 8,16,32,64 --jobs 4 --cache /tmp/srra.seg
 //!                                   # parallel design-space sweep + Pareto table
+//! srra migrate old.jsonl --cache /tmp/srra.seg
+//!                                   # copy a JSON-lines cache of an earlier version
 //! srra serve --cache-dir /tmp/srra-cache --shards 4 --addr 127.0.0.1:0
 //!                                   # sharded result store + TCP query server
 //! srra query --addr 127.0.0.1:PORT get fir cpa 32
@@ -28,8 +30,8 @@ use srra_bench::{evaluate_compiled, figure2, render_figure2, render_table1, tabl
 use srra_cluster::{ClusterClient, ClusterConfig};
 use srra_core::{AllocatorRef, AllocatorRegistry, CompiledKernel};
 use srra_explore::{
-    exploration_csv, render_exploration, DesignSpace, Exploration, Explorer, JsonlStore,
-    MemoryStore, ResultStore,
+    exploration_csv, import_jsonl, render_exploration, DesignSpace, Exploration, Explorer,
+    MemoryStore, ResultStore, SegmentStore, StoreError,
 };
 use srra_fpga::DeviceModel;
 use srra_ir::examples::paper_example;
@@ -65,12 +67,15 @@ pub fn usage() -> &'static str {
     --latencies <n[,n...]>       RAM latencies in cycles (default: 2)\n\
     --devices <d[,d...]>         xcv1000 and/or xcv300 (default: xcv1000)\n\
     --jobs    <n>                worker threads (default: all CPUs)\n\
-    --cache   <path>             persistent single-file JSONL result cache\n\
-    --cache-dir <dir>            persistent *sharded* JSONL result cache\n\
+    --cache   <path>             persistent single-file segment result cache\n\
+    --cache-dir <dir>            persistent *sharded* segment result cache\n\
     --shards  <n>                shard count for --cache-dir (default 4)\n\
     --csv                        emit every design point as CSV instead of tables\n\
     --stats-json <path>          write cache statistics as JSON to a file\n\
     (cache statistics go to stderr so stdout is identical across cached re-runs)\n\
+  migrate <file.jsonl>... (--cache <path> | --cache-dir <dir> [--shards <n>])\n\
+                                 copy JSON-lines caches of earlier versions into\n\
+                                 a segment cache; the source files are only read\n\
   serve [options]                sharded result store + TCP query server\n\
     --cache-dir <dir>            shard directory (required)\n\
     --addr    <host:port>        bind address (default 127.0.0.1:0 = ephemeral port)\n\
@@ -259,11 +264,76 @@ struct ExploreArgs {
     latencies: Vec<u64>,
     devices: Vec<DeviceModel>,
     jobs: usize,
+    cache: CacheArgs,
+    csv: bool,
+    stats_json: Option<String>,
+}
+
+/// The result-cache flags `explore` and `migrate` share.
+#[derive(Default)]
+struct CacheArgs {
     cache: Option<String>,
     cache_dir: Option<String>,
     shards: Option<usize>,
-    csv: bool,
-    stats_json: Option<String>,
+}
+
+impl CacheArgs {
+    /// Parses `flag` if it is a cache flag, taking its value from `rest`;
+    /// returns whether it was one.
+    fn parse_flag(
+        &mut self,
+        flag: &str,
+        rest: &mut std::slice::Iter<'_, String>,
+    ) -> Result<bool, CliError> {
+        let mut value = |name: &str| {
+            rest.next()
+                .cloned()
+                .ok_or_else(|| CliError(format!("{name} needs a value")))
+        };
+        match flag {
+            "--cache" => self.cache = Some(value("--cache")?),
+            "--cache-dir" => self.cache_dir = Some(value("--cache-dir")?),
+            "--shards" => {
+                let raw = value("--shards")?;
+                self.shards = Some(
+                    raw.parse::<usize>()
+                        .ok()
+                        .filter(|&n| n >= 1)
+                        .ok_or_else(|| CliError(format!("invalid --shards value `{raw}`")))?,
+                );
+            }
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    fn check(&self, command: &str) -> Result<(), CliError> {
+        if self.cache.is_some() && self.cache_dir.is_some() {
+            return Err(CliError(format!(
+                "{command}: --cache and --cache-dir are mutually exclusive"
+            )));
+        }
+        if self.shards.is_some() && self.cache_dir.is_none() {
+            return Err(CliError(format!("{command}: --shards needs --cache-dir")));
+        }
+        Ok(())
+    }
+
+    /// Opens the `--cache` file, reporting a truncated corrupt tail on
+    /// stderr the way `ShardedStore::open` does for each shard.
+    fn open_segment(path: &str) -> Result<SegmentStore, CliError> {
+        let store = SegmentStore::open(path)
+            .map_err(|err| CliError(format!("cannot open cache `{path}`: {err}")))?;
+        if let Some(torn) = store.torn_bytes() {
+            eprintln!("srra: truncated corrupt cache tail `{path}`: bytes {torn:?} dropped");
+        }
+        Ok(store)
+    }
+
+    fn open_sharded(&self, dir: &str) -> Result<ShardedStore, CliError> {
+        ShardedStore::open(dir, self.shards.unwrap_or(4))
+            .map_err(|err| CliError(format!("cannot open cache dir `{dir}`: {err}")))
+    }
 }
 
 fn parse_u64_list(flag: &str, value: &str) -> Result<Vec<u64>, CliError> {
@@ -294,14 +364,15 @@ fn parse_explore_args(args: &[String]) -> Result<ExploreArgs, CliError> {
         jobs: std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1),
-        cache: None,
-        cache_dir: None,
-        shards: None,
+        cache: CacheArgs::default(),
         csv: false,
         stats_json: None,
     };
     let mut iter = args.iter();
     while let Some(flag) = iter.next() {
+        if parsed.cache.parse_flag(flag, &mut iter)? {
+            continue;
+        }
         let mut value = |name: &str| {
             iter.next()
                 .cloned()
@@ -351,17 +422,6 @@ fn parse_explore_args(args: &[String]) -> Result<ExploreArgs, CliError> {
                     .filter(|&jobs| jobs >= 1)
                     .ok_or_else(|| CliError(format!("invalid --jobs value `{raw}`")))?;
             }
-            "--cache" => parsed.cache = Some(value("--cache")?),
-            "--cache-dir" => parsed.cache_dir = Some(value("--cache-dir")?),
-            "--shards" => {
-                let raw = value("--shards")?;
-                parsed.shards = Some(
-                    raw.parse::<usize>()
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .ok_or_else(|| CliError(format!("invalid --shards value `{raw}`")))?,
-                );
-            }
             "--csv" => parsed.csv = true,
             "--stats-json" => parsed.stats_json = Some(value("--stats-json")?),
             other => {
@@ -384,14 +444,7 @@ fn parse_explore_args(args: &[String]) -> Result<ExploreArgs, CliError> {
             "explore: every axis needs at least one value".into(),
         ));
     }
-    if parsed.cache.is_some() && parsed.cache_dir.is_some() {
-        return Err(CliError(
-            "explore: --cache and --cache-dir are mutually exclusive".into(),
-        ));
-    }
-    if parsed.shards.is_some() && parsed.cache_dir.is_none() {
-        return Err(CliError("explore: --shards needs --cache-dir".into()));
-    }
+    parsed.cache.check("explore")?;
     Ok(parsed)
 }
 
@@ -402,7 +455,7 @@ struct ExploreStats {
     evaluated: usize,
     jobs: usize,
     store_records: usize,
-    /// Store backend the run used: `memory`, `jsonl` or `sharded`.
+    /// Store backend the run used: `memory`, `segment` or `sharded`.
     backend: &'static str,
     /// Per-shard record counts, present only for the sharded backend.
     shard_records: Option<Vec<usize>>,
@@ -472,16 +525,13 @@ fn cmd_explore(args: &[String]) -> Result<String, CliError> {
         .with_budgets(&parsed.budgets)
         .with_ram_latencies(&parsed.latencies)
         .with_devices(parsed.devices);
-    let (run, stats) = match (&parsed.cache, &parsed.cache_dir) {
+    let (run, stats) = match (&parsed.cache.cache, &parsed.cache.cache_dir) {
         (Some(path), None) => {
-            let mut store = JsonlStore::open(path)
-                .map_err(|err| CliError(format!("cannot open cache `{path}`: {err}")))?;
-            explore_with_store(&space, parsed.jobs, &mut store, "jsonl")?
+            let mut store = CacheArgs::open_segment(path)?;
+            explore_with_store(&space, parsed.jobs, &mut store, "segment")?
         }
         (None, Some(dir)) => {
-            let shards = parsed.shards.unwrap_or(4);
-            let mut store = ShardedStore::open(dir, shards)
-                .map_err(|err| CliError(format!("cannot open cache dir `{dir}`: {err}")))?;
+            let mut store = parsed.cache.open_sharded(dir)?;
             let (run, mut stats) = explore_with_store(&space, parsed.jobs, &mut store, "sharded")?;
             stats.shard_records = Some(
                 store
@@ -501,6 +551,46 @@ fn cmd_explore(args: &[String]) -> Result<String, CliError> {
     } else {
         render_exploration(&run)
     })
+}
+
+/// `srra migrate`: copies JSON-lines caches of earlier versions into a
+/// segment cache through [`import_jsonl`]; the sources are only read.
+fn cmd_migrate(args: &[String]) -> Result<String, CliError> {
+    let mut cache = CacheArgs::default();
+    let mut sources = Vec::new();
+    let mut iter = args.iter();
+    while let Some(arg) = iter.next() {
+        if !cache.parse_flag(arg, &mut iter)? {
+            sources.push(arg.as_str());
+        }
+    }
+    cache.check("migrate")?;
+    match (&cache.cache, &cache.cache_dir, sources.is_empty()) {
+        (Some(path), None, false) => migrate_into(&sources, &mut CacheArgs::open_segment(path)?),
+        (None, Some(dir), false) => migrate_into(&sources, &mut cache.open_sharded(dir)?),
+        _ => Err(CliError(format!(
+            "migrate needs JSON-lines files and --cache or --cache-dir\n{}",
+            usage()
+        ))),
+    }
+}
+
+fn migrate_into<S>(sources: &[&str], store: &mut S) -> Result<String, CliError>
+where
+    S: ResultStore,
+    S::Error: From<StoreError> + std::fmt::Display,
+{
+    sources
+        .iter()
+        .map(|source| {
+            let done = import_jsonl(source, store)
+                .map_err(|err| CliError(format!("cannot migrate `{source}`: {err}")))?;
+            Ok(format!(
+                "migrate: {source}: {} migrated, {} duplicates\n",
+                done.migrated, done.duplicates
+            ))
+        })
+        .collect()
 }
 
 /// Parsed form of the `serve` subcommand's flags.
@@ -1472,6 +1562,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         [cmd, kernel] if cmd == "dot" => cmd_dot(kernel),
         [cmd, kernel, algo, budget] if cmd == "allocate" => cmd_allocate(kernel, algo, budget),
         [cmd, rest @ ..] if cmd == "explore" => cmd_explore(rest),
+        [cmd, rest @ ..] if cmd == "migrate" => cmd_migrate(rest),
         [cmd, rest @ ..] if cmd == "serve" => cmd_serve(rest),
         [cmd, rest @ ..] if cmd == "query" => cmd_query(rest),
         [cmd, rest @ ..] if cmd == "cluster" => cmd_cluster(rest),
@@ -1510,6 +1601,11 @@ mod tests {
         assert!(usage().contains("serve"));
         assert!(usage().contains("query"));
         assert!(usage().contains("--cache-dir"));
+        assert!(usage().contains("migrate"));
+        assert!(
+            !usage().contains("JSONL"),
+            "every cache flag is a segment cache"
+        );
     }
 
     #[test]
@@ -1565,7 +1661,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("srra-cli-stats-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let stats_path = dir.join("stats.json");
-        let cache_path = dir.join("cache.jsonl");
+        let cache_path = dir.join("cache.seg");
         let _ = std::fs::remove_file(&stats_path);
         let _ = std::fs::remove_file(&cache_path);
         let explore_args = |stats: &std::path::Path| {
@@ -1587,7 +1683,7 @@ mod tests {
         let cold_stats = std::fs::read_to_string(&stats_path).unwrap();
         assert_eq!(
             cold_stats.trim(),
-            "{\"points\":6,\"cache_hits\":0,\"evaluated\":6,\"jobs\":1,\"store_records\":6,\"backend\":\"jsonl\"}"
+            "{\"points\":6,\"cache_hits\":0,\"evaluated\":6,\"jobs\":1,\"store_records\":6,\"backend\":\"segment\"}"
         );
         // Warm re-run: stdout stays byte-identical, the stats file tells the
         // two runs apart.
@@ -1596,10 +1692,78 @@ mod tests {
         assert_eq!(warm_out, cold_out);
         assert_eq!(
             warm_stats.trim(),
-            "{\"points\":6,\"cache_hits\":6,\"evaluated\":0,\"jobs\":1,\"store_records\":6,\"backend\":\"jsonl\"}"
+            "{\"points\":6,\"cache_hits\":6,\"evaluated\":0,\"jobs\":1,\"store_records\":6,\"backend\":\"segment\"}"
         );
         let _ = std::fs::remove_file(&stats_path);
         let _ = std::fs::remove_file(&cache_path);
+    }
+
+    /// The two-record JSON-lines fixture of the wire golden tests.
+    fn golden_jsonl() -> std::path::PathBuf {
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../serve/tests/golden/record.jsonl")
+    }
+
+    #[test]
+    fn explore_refuses_a_jsonl_cache_file_and_names_migrate() {
+        let dir = std::env::temp_dir().join(format!("srra-cli-badmagic-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let cache = dir.join("old.jsonl");
+        let bytes = std::fs::read(golden_jsonl()).unwrap();
+        std::fs::write(&cache, &bytes).unwrap();
+        let err = run(&args(&[
+            "explore",
+            "--kernel",
+            "fir",
+            "--cache",
+            cache.to_str().unwrap(),
+        ]))
+        .unwrap_err();
+        assert!(err.0.contains("bad magic"), "{err}");
+        assert!(err.0.contains("srra migrate"), "{err}");
+        assert_eq!(std::fs::read(&cache).unwrap(), bytes, "source untouched");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn migrate_copies_a_jsonl_cache_once_and_reports_duplicates_after() {
+        let dir = std::env::temp_dir().join(format!("srra-cli-migrate-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let source = golden_jsonl();
+        let before = std::fs::read(&source).unwrap();
+        let target = dir.join("cache.seg");
+        let migrate = || {
+            run(&args(&[
+                "migrate",
+                source.to_str().unwrap(),
+                "--cache",
+                target.to_str().unwrap(),
+            ]))
+            .unwrap()
+        };
+        assert!(migrate().ends_with(": 2 migrated, 0 duplicates\n"));
+        assert!(migrate().ends_with(": 0 migrated, 2 duplicates\n"));
+        assert_eq!(std::fs::read(&source).unwrap(), before, "source untouched");
+        // The sharded target goes through the same cache flags.
+        let sharded = dir.join("shards");
+        let out = run(&args(&[
+            "migrate",
+            source.to_str().unwrap(),
+            "--cache-dir",
+            sharded.to_str().unwrap(),
+            "--shards",
+            "2",
+        ]))
+        .unwrap();
+        assert!(out.ends_with(": 2 migrated, 0 duplicates\n"), "{out}");
+        for bad in [
+            &["migrate", "--cache", "/tmp/x.seg"][..],
+            &["migrate", "a.jsonl"],
+            &["migrate", "a.jsonl", "--cache", "x", "--shards", "2"],
+        ] {
+            assert!(run(&args(bad)).is_err(), "{bad:?}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1671,7 +1835,7 @@ mod tests {
             "--kernel",
             "fir",
             "--cache",
-            "/tmp/x.jsonl",
+            "/tmp/x.seg",
             "--cache-dir",
             "/tmp/xdir"
         ]))

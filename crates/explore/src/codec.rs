@@ -1,10 +1,10 @@
 //! Length-prefixed binary serialization for hot-path wire and storage records.
 //!
-//! The workspace's `serde` is an offline no-op shim, so — like the JSONL
-//! encoding behind [`crate::JsonlStore`] — the binary codec is hand-rolled behind a
-//! minimal `StorageSerde`-style trait pair: [`WireSerde::serialize_into`]
-//! writes a value to any [`Write`] sink, [`WireSerde::deserialize_from`]
-//! reads it back from any [`Read`] source.  The encoding is fixed-order and
+//! The workspace's `serde` is an offline no-op shim, so — like the JSON
+//! encoding of [`crate::PointRecord::to_json_line`] — the binary codec is
+//! hand-rolled behind a minimal `StorageSerde`-style trait pair:
+//! [`WireSerde::serialize_into`] writes a value to any [`Write`] sink,
+//! [`WireSerde::deserialize_from`] reads it back from any [`Read`] source.  The encoding is fixed-order and
 //! fixed-width where possible:
 //!
 //! * integers are little-endian (`u8` raw, `u32`/`u64`/`i64` via

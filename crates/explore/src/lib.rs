@@ -17,10 +17,11 @@
 //!
 //! evaluated in parallel by a work-stealing thread pool and deduplicated
 //! through a content-addressed [`ResultStore`] (FNV-hashed design-point keys)
-//! with in-memory ([`MemoryStore`]), persistent JSON-lines ([`JsonlStore`])
-//! and fixed-header binary segment ([`SegmentStore`]) backends — the latter
-//! encoding records through the [`WireSerde`] trait ([`codec`]), the same
-//! length-prefixed serialisation the serve layer's binary wire codec uses.
+//! with an in-memory ([`MemoryStore`]) and one persistent backend: the
+//! fixed-header binary segment file ([`SegmentStore`]), which encodes records
+//! through the [`WireSerde`] trait ([`codec`]), the same length-prefixed
+//! serialisation the serve layer's binary wire codec uses.  JSON-lines caches
+//! written by earlier versions are copied in, read-only, by [`import_jsonl`].
 //! On top of the raw records it extracts multi-objective Pareto
 //! frontiers (total cycles × slices × registers) and per-kernel best-allocator
 //! summaries.
@@ -40,7 +41,7 @@
 //! # }
 //! ```
 //!
-//! With a [`JsonlStore`] instead of the [`MemoryStore`], re-running the same
+//! With a [`SegmentStore`] instead of the [`MemoryStore`], re-running the same
 //! space answers every point from disk and returns byte-identical records.
 
 #![forbid(unsafe_code)]
@@ -62,4 +63,6 @@ pub use pareto::{best_allocators, dominates, pareto_frontier, BestAllocator};
 pub use render::{exploration_csv, render_best_allocators, render_exploration, render_frontier};
 pub use segment::{SegmentStore, MAX_SEGMENT_RECORD_LEN, SEGMENT_MAGIC};
 pub use space::{fnv1a_64, DesignPoint, DesignSpace};
-pub use store::{JsonlError, JsonlStore, MemoryStore, PointRecord, ResultStore, StoreBase};
+pub use store::{
+    import_jsonl, Imported, MemoryStore, PointRecord, ResultStore, StoreBase, StoreError,
+};

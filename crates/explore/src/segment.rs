@@ -1,5 +1,5 @@
-//! Fixed-header binary segment files: the persistent store format whose
-//! re-hydration is a sequential scan, not a parse.
+//! Fixed-header binary segment files: the one persistent store format,
+//! whose re-hydration is a sequential scan, not a parse.
 //!
 //! A segment file holds [`PointRecord`]s in the [`crate::codec`] binary
 //! encoding behind a fixed per-record header:
@@ -17,21 +17,24 @@
 //! the key — the scan verifies the two agree, so a misaligned or corrupt
 //! record cannot be silently indexed under the wrong key).
 //!
-//! Appends write one header+payload and flush, the same crash contract as
-//! [`crate::JsonlStore`]: a killed process loses at most the record being
-//! written.  On open, a torn or corrupt tail is truncated away and counted
-//! ([`SegmentStore::torn_records`]) instead of failing the store — corruption
-//! in an append-only, flush-per-record file is realistically tail-only, and
-//! a record that *does* fail mid-file marks everything after it unreachable
-//! anyway (the scan cannot resynchronize), so truncation at the first bad
-//! header is the honest recovery.
+//! Crash contract: appends write one header+payload and flush, so a killed
+//! process loses at most the record being written.  On open, everything
+//! from the first torn or corrupt header to the end of the file is
+//! truncated away and reported as a byte range
+//! ([`SegmentStore::torn_bytes`]) instead of failing the store.  The scan
+//! cannot resynchronize, so a bad record mid-file also drops every record
+//! after it — callers log the range so such a loss is never silent.
+//!
+//! JSON-lines caches of earlier versions are not opened here (their bytes
+//! fail the magic check); [`crate::import_jsonl`] copies them in.
 
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use crate::codec::{from_bytes, WireSerde};
-use crate::store::{index_get, index_insert, JsonlError, JsonlStore, KeyIndex, PointRecord};
+use crate::store::{index_get, index_insert, KeyIndex, PointRecord, StoreError};
 use crate::store::{ResultStore, StoreBase};
 
 /// The 8-byte file magic opening every segment file.
@@ -41,15 +44,10 @@ pub const SEGMENT_MAGIC: &[u8; 8] = b"SRRASEG1";
 /// corruption, not data (a typical record payload is ~300 bytes).
 pub const MAX_SEGMENT_RECORD_LEN: usize = 64 << 20;
 
-/// A persistent [`ResultStore`] over one binary segment file, with optional
-/// read-side fallback to a legacy JSONL sibling.
+/// A persistent [`ResultStore`] over one binary segment file.
 ///
 /// `open` scans the segment file sequentially into an in-memory key index;
-/// `put` appends one fixed-header record and flushes.  When a legacy `.jsonl`
-/// file is supplied (see [`SegmentStore::open_with_legacy`]) its records are
-/// folded into the index read-only — new appends always go to the segment
-/// file, and a later `compact` (see `srra-serve`'s `ShardedStore`) rewrites
-/// everything into pure segment form.
+/// `put` appends one fixed-header record and flushes.
 #[derive(Debug)]
 pub struct SegmentStore {
     path: PathBuf,
@@ -58,7 +56,7 @@ pub struct SegmentStore {
     /// Raw records sitting in the segment file, duplicates included — what
     /// the opening scan saw plus every append since.
     scanned: usize,
-    torn: usize,
+    torn: Option<Range<u64>>,
     writer: BufWriter<File>,
     scratch: Vec<u8>,
 }
@@ -68,74 +66,36 @@ impl SegmentStore {
     ///
     /// # Errors
     ///
-    /// Returns [`JsonlError::Io`] if the file cannot be read or created and
-    /// [`JsonlError::Parse`] if the file does not start with the segment
-    /// magic (`line` is then 0 — the file is not a segment file at all; for
-    /// record-level corruption see [`SegmentStore::torn_records`], which is
-    /// recovery, not an error).
-    pub fn open(path: impl AsRef<Path>) -> Result<Self, JsonlError> {
-        Self::open_with_legacy(path, None::<&Path>)
-    }
-
-    /// Opens the segment store at `path`, additionally folding the records of
-    /// a legacy JSONL file into the in-memory index (read-side fallback for
-    /// pre-segment cache dirs).
-    ///
-    /// The legacy file is only read (with the same torn-tail repair as
-    /// [`JsonlStore::open`]); it is never appended to and never deleted here
-    /// — rewriting it into segment form is `compact`'s job.
-    ///
-    /// # Errors
-    ///
-    /// As [`SegmentStore::open`]; a corrupt legacy file surfaces its own
-    /// [`JsonlError`].
-    pub fn open_with_legacy(
-        path: impl AsRef<Path>,
-        legacy: Option<impl AsRef<Path>>,
-    ) -> Result<Self, JsonlError> {
+    /// Returns [`StoreError::Io`] if the file cannot be read or created and
+    /// [`StoreError::Corrupt`] if the file does not start with the segment
+    /// magic (for record-level corruption see [`SegmentStore::torn_bytes`],
+    /// which is recovery, not an error).
+    pub fn open(path: impl AsRef<Path>) -> Result<Self, StoreError> {
         let path = path.as_ref().to_path_buf();
         let mut index = KeyIndex::new();
         let mut count = 0;
         let mut scanned = 0;
-        let mut torn = 0;
-
-        if let Some(legacy) = legacy {
-            let legacy = legacy.as_ref();
-            if legacy.exists() {
-                let store = JsonlStore::open(legacy)?;
-                for record in store.records() {
-                    count += usize::from(index_insert(&mut index, record));
-                }
-            }
-        }
-
+        let mut torn = None;
         if path.exists() {
             let data = std::fs::read(&path)?;
-            if data.is_empty() {
-                // An empty file (e.g. created by a crashed run before the
-                // magic landed) is adopted: the magic is (re)written below.
-            } else if data.len() < SEGMENT_MAGIC.len()
-                || &data[..SEGMENT_MAGIC.len()] != SEGMENT_MAGIC
-            {
-                return Err(JsonlError::Parse {
-                    line: 0,
-                    message: format!("`{}` is not a segment file (bad magic)", path.display()),
-                });
+            // An empty file (e.g. created by a crashed run before the magic
+            // landed) is adopted: the magic is (re)written below.
+            if !data.is_empty() && !data.starts_with(SEGMENT_MAGIC) {
+                return Err(StoreError::Corrupt(format!(
+                    "`{}` is not a segment file (bad magic); convert a JSON-lines cache with `srra migrate`",
+                    path.display()
+                )));
             }
             let mut offset = SEGMENT_MAGIC.len().min(data.len());
-            loop {
-                let rest = &data[offset..];
-                if rest.is_empty() {
-                    break;
-                }
-                let Some((record, consumed)) = scan_record(rest) else {
-                    // Torn or corrupt tail: truncate it away so future
-                    // appends extend a consistent file, and count the event.
+            while offset < data.len() {
+                let Some((record, consumed)) = scan_record(&data[offset..]) else {
+                    // Torn or corrupt: truncate so future appends extend a
+                    // consistent file, and report what was dropped.
                     OpenOptions::new()
                         .write(true)
                         .open(&path)?
                         .set_len(offset as u64)?;
-                    torn += 1;
+                    torn = Some(offset as u64..data.len() as u64);
                     break;
                 };
                 count += usize::from(index_insert(&mut index, &record));
@@ -161,9 +121,8 @@ impl SegmentStore {
     }
 
     /// Raw records in the segment file, duplicates included — what the
-    /// opening scan saw plus every append since.  Compaction uses the gap
-    /// between this and [`len`](StoreBase::len) to report dropped
-    /// duplicates.
+    /// opening scan saw plus every append since.  Equal to
+    /// [`len`](StoreBase::len) unless the file holds duplicate records.
     pub fn segment_records(&self) -> usize {
         self.scanned
     }
@@ -173,39 +132,16 @@ impl SegmentStore {
         &self.path
     }
 
-    /// How many torn/corrupt trailing records the opening scan truncated
-    /// away (0 on a clean file; at most 1 per open in practice).
-    pub fn torn_records(&self) -> usize {
-        self.torn
+    /// The byte range the opening scan truncated away, from the first torn
+    /// or corrupt record header to the old end of file (`None` on a clean
+    /// file).
+    pub fn torn_bytes(&self) -> Option<Range<u64>> {
+        self.torn.clone()
     }
 
     /// Iterates over every held record (unspecified order).
     pub fn records(&self) -> impl Iterator<Item = &PointRecord> {
         self.index.values().flatten()
-    }
-
-    /// Writes `records` as a fresh segment file at `path` (truncating any
-    /// existing file) and returns how many were written.  This is the
-    /// rewrite primitive `compact` builds on: over fixed-header records,
-    /// compaction is a copy, not a parse.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`JsonlError::Io`] on any file error.
-    pub fn write_records<'a>(
-        path: impl AsRef<Path>,
-        records: impl IntoIterator<Item = &'a PointRecord>,
-    ) -> Result<usize, JsonlError> {
-        let mut writer = BufWriter::new(File::create(path.as_ref())?);
-        writer.write_all(SEGMENT_MAGIC)?;
-        let mut scratch = Vec::with_capacity(512);
-        let mut written = 0;
-        for record in records {
-            append_record(&mut writer, &mut scratch, record)?;
-            written += 1;
-        }
-        writer.flush()?;
-        Ok(written)
     }
 }
 
@@ -225,59 +161,41 @@ fn scan_record(bytes: &[u8]) -> Option<(PointRecord, usize)> {
     Some((record, 12 + len))
 }
 
-/// Appends one `[len][key][payload]` record through `writer`, using
-/// `scratch` for the payload encoding (no flush — callers own the flush
-/// policy).
-fn append_record(
-    writer: &mut impl Write,
-    scratch: &mut Vec<u8>,
-    record: &PointRecord,
-) -> Result<(), JsonlError> {
-    scratch.clear();
-    record
-        .serialize_into(scratch)
-        .map_err(|err| JsonlError::Parse {
-            line: 0,
-            message: format!("record does not encode: {err}"),
-        })?;
-    let len = u32::try_from(scratch.len()).map_err(|_| JsonlError::Parse {
-        line: 0,
-        message: format!(
-            "record payload of {} bytes overflows the header",
-            scratch.len()
-        ),
-    })?;
-    writer.write_all(&len.to_le_bytes())?;
-    writer.write_all(&record.key.to_le_bytes())?;
-    writer.write_all(scratch)?;
-    Ok(())
-}
-
 impl StoreBase for SegmentStore {
-    type Error = JsonlError;
+    type Error = StoreError;
 
-    fn contains(&self, key: u64) -> Result<bool, JsonlError> {
+    fn contains(&self, key: u64) -> Result<bool, StoreError> {
         Ok(self.index.contains_key(&key))
     }
 
-    fn len(&self) -> Result<usize, JsonlError> {
+    fn len(&self) -> Result<usize, StoreError> {
         Ok(self.count)
     }
 }
 
 impl ResultStore for SegmentStore {
-    fn get(&self, key: u64, canonical: &str) -> Result<Option<PointRecord>, JsonlError> {
+    fn get(&self, key: u64, canonical: &str) -> Result<Option<PointRecord>, StoreError> {
         Ok(index_get(&self.index, key, canonical))
     }
 
-    fn put(&mut self, record: &PointRecord) -> Result<bool, JsonlError> {
+    /// Appends one `[len][key][payload]` record and flushes.
+    fn put(&mut self, record: &PointRecord) -> Result<bool, StoreError> {
         if index_get(&self.index, record.key, &record.canonical).is_some() {
             return Ok(false);
         }
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let outcome = append_record(&mut self.writer, &mut scratch, record);
-        self.scratch = scratch;
-        outcome?;
+        self.scratch.clear();
+        record
+            .serialize_into(&mut self.scratch)
+            .map_err(|err| StoreError::Corrupt(format!("record does not encode: {err}")))?;
+        let len = u32::try_from(self.scratch.len()).map_err(|_| {
+            StoreError::Corrupt(format!(
+                "record payload of {} bytes overflows the header",
+                self.scratch.len()
+            ))
+        })?;
+        self.writer.write_all(&len.to_le_bytes())?;
+        self.writer.write_all(&record.key.to_le_bytes())?;
+        self.writer.write_all(&self.scratch)?;
         self.writer.flush()?;
         index_insert(&mut self.index, record);
         self.count += 1;
@@ -337,7 +255,7 @@ mod tests {
         }
         let store = SegmentStore::open(&path).unwrap();
         assert_eq!(store.len().unwrap(), 2);
-        assert_eq!(store.torn_records(), 0);
+        assert_eq!(store.torn_bytes(), None);
         assert_eq!(store.get(1, &first.canonical).unwrap(), Some(first));
         assert_eq!(store.get(2, &second.canonical).unwrap(), Some(second));
         let bytes = std::fs::read(&path).unwrap();
@@ -370,13 +288,14 @@ mod tests {
         {
             let mut store = SegmentStore::open(&path).expect("opens despite torn tail");
             assert_eq!(store.len().unwrap(), 2);
-            assert_eq!(store.torn_records(), 1);
+            let torn_end = clean_len + tail.len() as u64;
+            assert_eq!(store.torn_bytes(), Some(clean_len..torn_end));
             // The tail was truncated, so a fresh append lands cleanly.
             assert!(store.put(&third).unwrap());
         }
         let store = SegmentStore::open(&path).unwrap();
         assert_eq!(store.len().unwrap(), 3);
-        assert_eq!(store.torn_records(), 0);
+        assert_eq!(store.torn_bytes(), None);
         assert!(std::fs::metadata(&path).unwrap().len() > clean_len);
         std::fs::remove_file(&path).unwrap();
     }
@@ -392,6 +311,7 @@ mod tests {
         // Append a record whose header key disagrees with its payload.
         let bad = sample_record(9);
         let payload = to_bytes(&bad).unwrap();
+        let clean_len = std::fs::metadata(&path).unwrap().len();
         {
             use std::io::Write as _;
             let mut file = OpenOptions::new().append(true).open(&path).unwrap();
@@ -402,63 +322,24 @@ mod tests {
         }
         let store = SegmentStore::open(&path).unwrap();
         assert_eq!(store.len().unwrap(), 1, "mismatched record dropped");
-        assert_eq!(store.torn_records(), 1);
+        let bad_len = 12 + payload.len() as u64;
+        assert_eq!(store.torn_bytes(), Some(clean_len..clean_len + bad_len));
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
-    fn non_segment_file_is_rejected_with_a_parse_error() {
+    fn non_segment_file_is_rejected_and_left_untouched() {
         let path = scratch_path("badmagic");
-        std::fs::write(&path, b"{\"key\":\"0x1\"}\n").unwrap();
+        let jsonl = format!("{}\n", sample_record(1).to_json_line());
+        std::fs::write(&path, &jsonl).unwrap();
         match SegmentStore::open(&path) {
-            Err(JsonlError::Parse { line: 0, .. }) => {}
+            Err(StoreError::Corrupt(message)) => {
+                assert!(message.contains("bad magic"), "{message}");
+                assert!(message.contains("srra migrate"), "{message}");
+            }
             other => panic!("expected bad-magic error, got {other:?}"),
         }
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn legacy_jsonl_records_are_visible_and_appends_go_binary() {
-        let path = scratch_path("legacy");
-        let legacy = path.with_extension("jsonl");
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(&legacy);
-        let old = sample_record(1);
-        std::fs::write(&legacy, format!("{}\n", old.to_json_line())).unwrap();
-        {
-            let mut store = SegmentStore::open_with_legacy(&path, Some(&legacy)).unwrap();
-            assert_eq!(store.len().unwrap(), 1, "legacy record visible");
-            assert_eq!(store.get(1, &old.canonical).unwrap(), Some(old.clone()));
-            assert!(!store.put(&old).unwrap(), "legacy record dedupes appends");
-            assert!(store.put(&sample_record(2)).unwrap());
-        }
-        // The legacy file was not rewritten; the new record went to the
-        // segment file.
-        assert_eq!(std::fs::read_to_string(&legacy).unwrap().lines().count(), 1);
-        let store = SegmentStore::open_with_legacy(&path, Some(&legacy)).unwrap();
-        assert_eq!(store.len().unwrap(), 2);
-        // Without the legacy file only the binary append remains.
-        let store = SegmentStore::open(&path).unwrap();
-        assert_eq!(store.len().unwrap(), 1);
-        std::fs::remove_file(&path).unwrap();
-        std::fs::remove_file(&legacy).unwrap();
-    }
-
-    #[test]
-    fn write_records_builds_a_clean_segment_file() {
-        let path = scratch_path("rewrite");
-        let records = [sample_record(1), sample_record(2), sample_record(3)];
-        let written = SegmentStore::write_records(&path, records.iter()).unwrap();
-        assert_eq!(written, 3);
-        let store = SegmentStore::open(&path).unwrap();
-        assert_eq!(store.len().unwrap(), 3);
-        assert_eq!(store.torn_records(), 0);
-        for record in &records {
-            assert_eq!(
-                store.get(record.key, &record.canonical).unwrap().as_ref(),
-                Some(record)
-            );
-        }
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), jsonl);
         std::fs::remove_file(&path).unwrap();
     }
 }

@@ -1,5 +1,6 @@
-//! Content-addressed result stores: an in-memory map and a persistent
-//! JSON-lines backend.
+//! Content-addressed result stores: the record type, the store traits, an
+//! in-memory map, and a read-only importer for JSON-lines caches written by
+//! earlier versions.  The persistent backend is [`crate::SegmentStore`].
 //!
 //! The layering follows the `StorageBase` / `Storage` split common in embedded
 //! storage APIs: [`StoreBase`] carries the error type and the cheap queries,
@@ -12,9 +13,7 @@
 use std::collections::HashMap;
 use std::convert::Infallible;
 use std::fmt::Write as _;
-use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use crate::json::{render_string, JsonValue};
 
@@ -315,167 +314,80 @@ impl ResultStore for MemoryStore {
     }
 }
 
-/// Errors of the [`JsonlStore`] backend.
+/// Errors of the persistent backends.
 #[derive(Debug)]
-pub enum JsonlError {
+pub enum StoreError {
     /// Underlying file I/O failed.
     Io(std::io::Error),
-    /// A line of the store file is not a valid record.
-    Parse {
-        /// 1-based line number.
-        line: usize,
-        /// What went wrong.
-        message: String,
-    },
+    /// A file is not in the expected format, or a record does not encode.
+    Corrupt(String),
 }
 
-impl std::fmt::Display for JsonlError {
+impl std::fmt::Display for StoreError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            JsonlError::Io(err) => write!(f, "cache I/O error: {err}"),
-            JsonlError::Parse { line, message } => {
-                write!(f, "cache parse error at line {line}: {message}")
-            }
+            StoreError::Io(err) => write!(f, "cache I/O error: {err}"),
+            StoreError::Corrupt(message) => write!(f, "corrupt cache: {message}"),
         }
     }
 }
 
-impl std::error::Error for JsonlError {}
+impl std::error::Error for StoreError {}
 
-impl From<std::io::Error> for JsonlError {
+impl From<std::io::Error> for StoreError {
     fn from(err: std::io::Error) -> Self {
-        JsonlError::Io(err)
+        StoreError::Io(err)
     }
 }
 
-/// A persistent store: one JSON record per line, append-only.
+/// What [`import_jsonl`] did.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Imported {
+    /// Records put into the store.
+    pub migrated: usize,
+    /// Records the store already held (same canonical string).
+    pub duplicates: usize,
+}
+
+/// Puts every record of a JSON-lines cache (one [`PointRecord::to_json_line`]
+/// per line, as earlier versions wrote) into `store`; `path` is only read.
+/// An unparseable last line without its newline — a killed writer's — is
+/// skipped.
 ///
-/// On open, any existing file is loaded into an in-memory index; `put` appends
-/// a line and flushes, so a crashed run loses at most the record being written
-/// and concurrent readers always see complete lines.
-#[derive(Debug)]
-pub struct JsonlStore {
-    path: PathBuf,
-    index: KeyIndex,
-    count: usize,
-    writer: BufWriter<File>,
-}
-
-impl JsonlStore {
-    /// Opens (creating if needed) the store at `path`.
-    ///
-    /// A complete `put` always ends its line with `\n`, so a final line
-    /// without one is the half-written record of a killed run: it is dropped
-    /// and truncated away, keeping the crash-safety promise above.  A
-    /// malformed line *with* a terminator is genuine corruption and an error.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`JsonlError::Io`] if the file cannot be read or created and
-    /// [`JsonlError::Parse`] if a newline-terminated line is corrupt.
-    pub fn open(path: impl AsRef<Path>) -> Result<Self, JsonlError> {
-        let path = path.as_ref().to_path_buf();
-        let mut index = KeyIndex::new();
-        let mut count = 0;
-        let mut terminate_valid_tail = false;
-        if path.exists() {
-            let data = std::fs::read_to_string(&path)?;
-            let mut offset = 0;
-            let mut number = 0;
-            let mut truncate_at: Option<u64> = None;
-            while offset < data.len() {
-                let rest = &data[offset..];
-                let (line, consumed, terminated) = match rest.find('\n') {
-                    Some(pos) => (&rest[..pos], pos + 1, true),
-                    None => (rest, rest.len(), false),
-                };
-                number += 1;
-                if !line.trim().is_empty() {
-                    match PointRecord::from_json_line(line) {
-                        Ok(record) => {
-                            // Duplicate lines (e.g. a merged file) keep the
-                            // first occurrence; distinct canonicals sharing a
-                            // key are all kept.
-                            count += usize::from(index_insert(&mut index, &record));
-                            // A parseable but unterminated tail stays; the
-                            // writer adds the missing newline before appending.
-                            terminate_valid_tail = !terminated;
-                        }
-                        Err(_) if !terminated => {
-                            truncate_at = Some(offset as u64);
-                        }
-                        Err(message) => {
-                            return Err(JsonlError::Parse {
-                                line: number,
-                                message,
-                            });
-                        }
-                    }
-                }
-                offset += consumed;
-            }
-            if let Some(len) = truncate_at {
-                OpenOptions::new().write(true).open(&path)?.set_len(len)?;
+/// # Errors
+///
+/// Source I/O errors, [`StoreError::Corrupt`] naming the first bad line,
+/// and the store's own errors.
+pub fn import_jsonl<S>(path: impl AsRef<Path>, store: &mut S) -> Result<Imported, S::Error>
+where
+    S: ResultStore,
+    S::Error: From<StoreError>,
+{
+    let path = path.as_ref();
+    let text = std::fs::read_to_string(path).map_err(StoreError::Io)?;
+    let mut imported = Imported::default();
+    for (number, line) in text.split_inclusive('\n').enumerate() {
+        if line.trim().is_empty() {
+            continue;
+        }
+        match PointRecord::from_json_line(line) {
+            Ok(record) if store.put(&record)? => imported.migrated += 1,
+            Ok(_) => imported.duplicates += 1,
+            Err(_) if !line.ends_with('\n') => {}
+            Err(message) => {
+                let at = format!("`{}` line {}", path.display(), number + 1);
+                return Err(StoreError::Corrupt(format!("{at}: {message}")).into());
             }
         }
-        let mut writer = BufWriter::new(OpenOptions::new().create(true).append(true).open(&path)?);
-        if terminate_valid_tail {
-            writer.write_all(b"\n")?;
-            writer.flush()?;
-        }
-        Ok(Self {
-            path,
-            index,
-            count,
-            writer,
-        })
     }
-
-    /// The file backing this store.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Iterates over every held record (unspecified order).
-    pub fn records(&self) -> impl Iterator<Item = &PointRecord> {
-        self.index.values().flatten()
-    }
-}
-
-impl StoreBase for JsonlStore {
-    type Error = JsonlError;
-
-    fn contains(&self, key: u64) -> Result<bool, JsonlError> {
-        Ok(self.index.contains_key(&key))
-    }
-
-    fn len(&self) -> Result<usize, JsonlError> {
-        Ok(self.count)
-    }
-}
-
-impl ResultStore for JsonlStore {
-    fn get(&self, key: u64, canonical: &str) -> Result<Option<PointRecord>, JsonlError> {
-        Ok(index_get(&self.index, key, canonical))
-    }
-
-    fn put(&mut self, record: &PointRecord) -> Result<bool, JsonlError> {
-        if index_get(&self.index, record.key, &record.canonical).is_some() {
-            return Ok(false);
-        }
-        let mut line = record.to_json_line();
-        line.push('\n');
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.flush()?;
-        index_insert(&mut self.index, record);
-        self.count += 1;
-        Ok(true)
-    }
+    Ok(imported)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SegmentStore;
+    use std::path::PathBuf;
 
     fn sample_record(key: u64) -> PointRecord {
         PointRecord {
@@ -568,110 +480,85 @@ mod tests {
         // Same contract for the persistent backend, across a reopen.
         let dir = std::env::temp_dir().join(format!("srra-store-collide-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("cache.jsonl");
+        let path = dir.join("cache.seg");
         let _ = std::fs::remove_file(&path);
         {
-            let mut store = JsonlStore::open(&path).unwrap();
+            let mut store = SegmentStore::open(&path).unwrap();
             assert!(store.put(&first).unwrap());
             assert!(store.put(&second).unwrap());
             assert!(!store.put(&second).unwrap());
         }
-        let store = JsonlStore::open(&path).unwrap();
+        let store = SegmentStore::open(&path).unwrap();
         assert_eq!(store.len().unwrap(), 2);
         assert_eq!(store.get(7, &first.canonical).unwrap(), Some(first));
         assert_eq!(store.get(7, &second.canonical).unwrap(), Some(second));
         std::fs::remove_file(&path).unwrap();
     }
 
-    #[test]
-    fn jsonl_store_persists_across_reopen() {
-        let dir = std::env::temp_dir().join(format!("srra-store-test-{}", std::process::id()));
+    fn import_paths(tag: &str) -> (PathBuf, PathBuf) {
+        let dir = std::env::temp_dir().join(format!("srra-import-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("cache.jsonl");
-        let _ = std::fs::remove_file(&path);
-
-        let first = sample_record(1);
-        let second = sample_record(2);
-        {
-            let mut store = JsonlStore::open(&path).unwrap();
-            assert!(store.is_empty().unwrap());
-            assert!(store.put(&first).unwrap());
-            assert!(store.put(&second).unwrap());
-        }
-        {
-            let mut store = JsonlStore::open(&path).unwrap();
-            assert_eq!(store.len().unwrap(), 2);
-            assert_eq!(store.get(1, &first.canonical).unwrap(), Some(first.clone()));
-            assert!(!store.put(&second).unwrap(), "reloaded keys dedupe puts");
-        }
-        let contents = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(contents.lines().count(), 2, "no duplicate lines written");
-        std::fs::remove_file(&path).unwrap();
+        (dir.join("cache.jsonl"), dir.join("cache.seg"))
     }
 
     #[test]
-    fn truncated_final_line_is_dropped_and_the_cache_stays_usable() {
-        let dir = std::env::temp_dir().join(format!("srra-store-trunc-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("cache.jsonl");
-        let full = sample_record(1);
-        let half = sample_record(2).to_json_line();
-        // Simulate a killed run: a complete record plus half of the next one,
-        // with no trailing newline.
-        std::fs::write(
-            &path,
-            format!("{}\n{}", full.to_json_line(), &half[..half.len() / 2]),
-        )
-        .unwrap();
-        {
-            let mut store = JsonlStore::open(&path).expect("opens despite the torn tail");
-            assert_eq!(store.len().unwrap(), 1);
-            assert!(store.put(&sample_record(3)).unwrap());
-        }
-        // The torn tail was truncated away, so the appended record parses on
-        // reopen and nothing was lost but the half-written line.
-        let store = JsonlStore::open(&path).expect("reopens cleanly");
-        assert_eq!(store.len().unwrap(), 2);
-        assert!(store.contains(1).unwrap());
-        assert!(store.contains(3).unwrap());
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn valid_unterminated_tail_is_kept_and_newline_repaired() {
-        let dir = std::env::temp_dir().join(format!("srra-store-tail-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("cache.jsonl");
-        // A complete record whose newline never made it to disk.
-        std::fs::write(&path, sample_record(1).to_json_line()).unwrap();
-        {
-            let mut store = JsonlStore::open(&path).expect("opens");
-            assert_eq!(store.len().unwrap(), 1);
-            assert!(store.put(&sample_record(2)).unwrap());
-        }
-        let store = JsonlStore::open(&path).expect("reopens");
-        assert_eq!(
-            store.len().unwrap(),
-            2,
-            "records did not merge into one line"
+    fn import_jsonl_copies_records_dedupes_and_never_writes_the_source() {
+        let (source, target) = import_paths("copy");
+        let (first, second) = (sample_record(1), sample_record(2));
+        // A duplicate line (as an old merge left behind) and a valid last
+        // line whose newline never reached the disk.
+        let text = format!(
+            "{}\n{}\n\n{}",
+            first.to_json_line(),
+            first.to_json_line(),
+            second.to_json_line()
         );
-        std::fs::remove_file(&path).unwrap();
+        std::fs::write(&source, &text).unwrap();
+        let mut store = SegmentStore::open(&target).unwrap();
+        let done = import_jsonl(&source, &mut store).unwrap();
+        assert_eq!(
+            done,
+            Imported {
+                migrated: 2,
+                duplicates: 1
+            }
+        );
+        assert_eq!(store.get(1, &first.canonical).unwrap(), Some(first));
+        assert_eq!(store.get(2, &second.canonical).unwrap(), Some(second));
+        let again = import_jsonl(&source, &mut store).unwrap();
+        assert_eq!((again.migrated, again.duplicates), (0, 3));
+        assert_eq!(std::fs::read_to_string(&source).unwrap(), text);
+        std::fs::remove_dir_all(source.parent().unwrap()).unwrap();
     }
 
     #[test]
-    fn corrupt_cache_lines_are_reported_with_line_numbers() {
-        let dir = std::env::temp_dir().join(format!("srra-store-corrupt-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("cache.jsonl");
+    fn import_jsonl_skips_a_torn_tail_and_reports_corrupt_lines() {
+        let (source, target) = import_paths("torn");
+        let half = sample_record(2).to_json_line();
+        // A killed writer's half line at the end is skipped...
         std::fs::write(
-            &path,
-            format!("{}\nnot json\n", sample_record(1).to_json_line()),
+            &source,
+            format!(
+                "{}\n{}",
+                sample_record(1).to_json_line(),
+                &half[..half.len() / 2]
+            ),
         )
         .unwrap();
-        match JsonlStore::open(&path) {
-            Err(JsonlError::Parse { line, .. }) => assert_eq!(line, 2),
-            other => panic!("expected parse error, got {other:?}"),
+        let mut store = SegmentStore::open(&target).unwrap();
+        assert_eq!(import_jsonl(&source, &mut store).unwrap().migrated, 1);
+        assert_eq!(store.len().unwrap(), 1);
+        // ...but a bad line with its newline is corruption, named by line.
+        std::fs::write(
+            &source,
+            format!("{}\nnot json\n", sample_record(3).to_json_line()),
+        )
+        .unwrap();
+        match import_jsonl(&source, &mut store) {
+            Err(StoreError::Corrupt(message)) => assert!(message.contains("line 2"), "{message}"),
+            other => panic!("expected a corrupt-line error, got {other:?}"),
         }
-        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_dir_all(source.parent().unwrap()).unwrap();
     }
 }

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use srra_core::AllocatorKind;
 use srra_explore::{
     dominates, exploration_csv, pareto_frontier, render_exploration, DesignSpace, Explorer,
-    JsonlStore, MemoryStore, PointRecord,
+    MemoryStore, PointRecord, SegmentStore,
 };
 use srra_fpga::DeviceModel;
 use srra_ir::{Kernel, KernelBuilder};
@@ -62,7 +62,7 @@ fn generated_space(
 
 fn scratch_cache_path(tag: &str, case: u64) -> std::path::PathBuf {
     std::env::temp_dir().join(format!(
-        "srra-explore-prop-{tag}-{}-{case}.jsonl",
+        "srra-explore-prop-{tag}-{}-{case}.seg",
         std::process::id()
     ))
 }
@@ -163,12 +163,12 @@ proptest! {
         let _ = std::fs::remove_file(&path);
 
         let cold = {
-            let mut store = JsonlStore::open(&path).expect("cache opens");
+            let mut store = SegmentStore::open(&path).expect("cache opens");
             Explorer::new(2).explore(&space, &mut store).expect("cold run")
         };
         prop_assert_eq!(cold.cache_hits, 0);
         let warm = {
-            let mut store = JsonlStore::open(&path).expect("cache reopens");
+            let mut store = SegmentStore::open(&path).expect("cache reopens");
             Explorer::new(2).explore(&space, &mut store).expect("warm run")
         };
         std::fs::remove_file(&path).expect("scratch cache removed");

@@ -72,6 +72,9 @@ fn help_for(name: &str) -> &'static str {
         "store_shard_write_wait_us" => return "Shard write-lock wait in microseconds.",
         "store_rehydrate_us" => return "Startup shard re-hydration time in microseconds.",
         "store_torn_segments_total" => return "Torn segment tails truncated away at open.",
+        "store_torn_bytes_total" => {
+            return "Segment bytes dropped by torn-tail truncation at open."
+        }
         "client_connects_total" => return "Sockets opened by the wire client.",
         "client_reconnect_retries_total" => return "Stale-socket reconnect-and-retry round trips.",
         "cluster_requests_routed_total" => {

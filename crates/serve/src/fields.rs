@@ -318,8 +318,8 @@ impl Encode for str {
     }
 }
 
-/// A record travels as its JSONL cache line (byte-identical to the shard
-/// files) or as its binary segment payload.
+/// A record travels as its JSON line ([`PointRecord::to_json_line`]) or as
+/// its `WireSerde` payload (the same bytes a segment shard file stores).
 impl Encode for PointRecord {
     fn render(&self, out: &mut String) {
         self.write_json_line(out);

@@ -11,11 +11,10 @@
 //!    shard behind its own read/write lock so any number of concurrent warm
 //!    lookups proceed in parallel against the in-memory index (appends
 //!    briefly exclude their own shard only), plus a lock file guarding the
-//!    directory against concurrent processes.  Legacy JSONL shard
-//!    directories open unchanged (the `.jsonl` siblings are folded in
-//!    read-only); [`ShardedStore::merge_file`] folds a legacy single-file
-//!    cache into the shards and [`ShardedStore::compact`] deduplicates,
-//!    re-routes and rewrites dirty or legacy shards to pure segment form.
+//!    directory against concurrent processes.  A directory of JSON-lines
+//!    shards from an earlier version is refused with
+//!    [`ShardError::Legacy`]; [`srra_explore::import_jsonl`] (`srra
+//!    migrate`) copies such files into segment shards.
 //! 2. [`Server`] — a thread-pool TCP front end (`std::net` only, no async
 //!    runtime) speaking two interchangeable wire codecs — line-delimited
 //!    JSON and a length-prefixed binary framing, negotiated per frame by
@@ -100,7 +99,7 @@ pub use protocol::{
     Response, ServerStats, ShardDigest, TRACE_MAX_LEN,
 };
 pub use server::{canonical_for, device_by_name, ServeError, Server, ServerConfig, ServerReport};
-pub use shard::{CompactOutcome, MergeOutcome, ShardError, ShardedStore};
+pub use shard::{ShardError, ShardedStore};
 pub use srra_explore::{render_string, JsonValue};
 
 // The span type rides on `trace` replies, and the series types on `series`

@@ -8,17 +8,11 @@
 //! filesystem and without contending with each other; appends take the
 //! exclusive write guard and tee the record to the shard's segment file
 //! (fixed-header binary records — startup re-hydration is a sequential
-//! scan, not a JSON parse).  A legacy `shard-NNN.jsonl` sibling, when
-//! present, is folded into the index read-only so pre-segment cache
-//! directories work unmodified; [`compact`] rewrites everything into pure
-//! segment form and retires the JSONL files.  A lock file in the cache
-//! directory keeps concurrent *processes* from interleaving appends.
-//! [`merge_file`] folds a legacy single-file cache into the shards and
-//! [`compact`] also drops duplicate disk records and re-routes records that
-//! sit in the wrong shard.
-//!
-//! [`merge_file`]: ShardedStore::merge_file
-//! [`compact`]: ShardedStore::compact
+//! scan, not a JSON parse).  A lock file in the cache directory keeps
+//! concurrent *processes* from interleaving appends.  A directory still
+//! holding JSON-lines shards of an earlier version is refused
+//! ([`ShardError::Legacy`]) rather than opened as empty; `srra migrate`
+//! copies such shards into a fresh directory.
 
 use std::fs::OpenOptions;
 use std::io::Write as _;
@@ -26,9 +20,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
-use srra_explore::{
-    fnv1a_64, JsonlError, JsonlStore, PointRecord, ResultStore, SegmentStore, StoreBase,
-};
+use srra_explore::{fnv1a_64, PointRecord, ResultStore, SegmentStore, StoreBase, StoreError};
 use srra_obs::{Counter, Histogram, Registry};
 
 use crate::protocol::ShardDigest;
@@ -42,8 +34,10 @@ struct ShardMetrics {
     write_wait: Arc<Histogram>,
     /// Wall time of one full store open (all shards re-hydrated).
     rehydrate: Arc<Histogram>,
-    /// Torn/corrupt trailing segment records truncated away at open.
+    /// Shards whose torn/corrupt tail was truncated away at open.
     torn_segments: Arc<Counter>,
+    /// Bytes those truncations dropped.
+    torn_bytes: Arc<Counter>,
 }
 
 fn shard_metrics() -> &'static ShardMetrics {
@@ -57,6 +51,7 @@ fn shard_metrics() -> &'static ShardMetrics {
             write_wait: registry.histogram("store_shard_write_wait_us"),
             rehydrate: registry.histogram("store_rehydrate_us"),
             torn_segments: registry.counter("store_torn_segments_total"),
+            torn_bytes: registry.counter("store_torn_bytes_total"),
         }
     })
 }
@@ -67,7 +62,9 @@ pub enum ShardError {
     /// Underlying file I/O failed.
     Io(std::io::Error),
     /// A shard file failed to open or parse.
-    Store(JsonlError),
+    Store(StoreError),
+    /// The directory holds a JSON-lines shard file of an earlier version.
+    Legacy(PathBuf),
     /// Another process holds the cache directory's lock file.
     Locked(PathBuf),
     /// The directory already holds a different number of shard files.
@@ -95,6 +92,12 @@ impl std::fmt::Display for ShardError {
                 f,
                 "cache directory holds {found} shard files but {requested} were requested"
             ),
+            ShardError::Legacy(path) => write!(
+                f,
+                "`{}` is a JSON-lines shard of an earlier version; copy the directory's \
+                 shard-*.jsonl files into a new --cache-dir with `srra migrate`",
+                path.display()
+            ),
             ShardError::EmptyShardCount => write!(f, "shard count must be at least 1"),
         }
     }
@@ -108,8 +111,8 @@ impl From<std::io::Error> for ShardError {
     }
 }
 
-impl From<JsonlError> for ShardError {
-    fn from(err: JsonlError) -> Self {
+impl From<StoreError> for ShardError {
+    fn from(err: StoreError) -> Self {
         ShardError::Store(err)
     }
 }
@@ -149,28 +152,8 @@ impl Drop for DirLock {
     }
 }
 
-/// What [`ShardedStore::merge_file`] did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MergeOutcome {
-    /// Records copied into the shards.
-    pub merged: usize,
-    /// Records skipped because an identical canonical was already stored.
-    pub duplicates: usize,
-}
-
-/// What [`ShardedStore::compact`] did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CompactOutcome {
-    /// Records kept across all shards after the rewrite.
-    pub kept: usize,
-    /// Disk lines dropped (duplicate lines within or across shards).
-    pub duplicates_dropped: usize,
-    /// Records moved to the shard their key routes to.
-    pub rerouted: usize,
-}
-
 /// A [`ResultStore`] sharded over `N` binary segment files under one cache
-/// directory (legacy JSONL shard files are read transparently).
+/// directory.
 ///
 /// Routing is `key % N`.  All read/write methods take `&self` (each shard sits
 /// behind its own `RwLock`), so one `ShardedStore` can be shared across server
@@ -200,51 +183,50 @@ fn shard_file_name(index: usize) -> String {
     format!("shard-{index:03}.seg")
 }
 
-/// Legacy JSONL file name of shard `index` — read-side fallback only; new
-/// appends always go to the segment file and `compact` retires the JSONL.
-fn legacy_file_name(index: usize) -> String {
-    format!("shard-{index:03}.jsonl")
-}
-
 impl ShardedStore {
     /// Opens (creating if needed) a store of `shard_count` shards under `dir`.
     ///
     /// # Errors
     ///
+    /// [`ShardError::Legacy`] if the directory holds a `shard-*.jsonl` file
+    /// (checked before anything under `dir` is written),
     /// [`ShardError::Locked`] if another process holds the directory,
     /// [`ShardError::ShardCount`] if the directory already holds a different
     /// number of shard files, [`ShardError::EmptyShardCount`] for
     /// `shard_count == 0`, and I/O / parse errors from the shard files.
+    ///
+    /// A shard whose torn or corrupt tail is truncated away gets one stderr
+    /// line naming the file and the dropped byte range.
     pub fn open(dir: impl AsRef<Path>, shard_count: usize) -> Result<Self, ShardError> {
         if shard_count == 0 {
             return Err(ShardError::EmptyShardCount);
         }
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
+        let existing = Self::existing_shard_count(&dir)?;
         let lock = DirLock::acquire(&dir)?;
-        let existing = Self::existing_shard_files(&dir)?;
-        if !existing.is_empty() && existing.len() != shard_count {
+        if existing != 0 && existing != shard_count {
             return Err(ShardError::ShardCount {
-                found: existing.len(),
+                found: existing,
                 requested: shard_count,
             });
         }
         let metrics = shard_metrics();
         let rehydrate_started = Instant::now();
         let mut shards = Vec::with_capacity(shard_count);
-        let mut torn = 0;
         for index in 0..shard_count {
-            let store = SegmentStore::open_with_legacy(
-                dir.join(shard_file_name(index)),
-                Some(dir.join(legacy_file_name(index))),
-            )?;
-            torn += store.torn_records();
+            let store = SegmentStore::open(dir.join(shard_file_name(index)))?;
+            if let Some(torn) = store.torn_bytes() {
+                eprintln!(
+                    "srra-serve: truncated corrupt shard tail `{}`: bytes {torn:?} dropped",
+                    store.path().display()
+                );
+                metrics.torn_segments.inc();
+                metrics.torn_bytes.add(torn.end - torn.start);
+            }
             shards.push(RwLock::new(store));
         }
         metrics.rehydrate.record(rehydrate_started.elapsed());
-        if torn > 0 {
-            metrics.torn_segments.add(torn as u64);
-        }
         Ok(Self {
             dir,
             shards,
@@ -252,24 +234,19 @@ impl ShardedStore {
         })
     }
 
-    /// The distinct shard file stems (either extension) already present
-    /// under `dir`, sorted — a shard counts as present whether it exists as
-    /// a segment file, a legacy JSONL file, or both.
-    fn existing_shard_files(dir: &Path) -> Result<Vec<String>, ShardError> {
-        let mut stems = std::collections::BTreeSet::new();
+    /// How many segment shard files `dir` already holds; a JSON-lines
+    /// shard file is [`ShardError::Legacy`].
+    fn existing_shard_count(dir: &Path) -> Result<usize, ShardError> {
+        let mut found = 0;
         for entry in std::fs::read_dir(dir)? {
             let path = entry?.path();
             let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-            if let Some(stem) = name
-                .strip_suffix(".seg")
-                .or_else(|| name.strip_suffix(".jsonl"))
-            {
-                if stem.starts_with("shard-") {
-                    stems.insert(stem.to_owned());
-                }
+            if name.starts_with("shard-") && name.ends_with(".jsonl") {
+                return Err(ShardError::Legacy(path));
             }
+            found += usize::from(name.starts_with("shard-") && name.ends_with(".seg"));
         }
-        Ok(stems.into_iter().collect())
+        Ok(found)
     }
 
     /// The cache directory.
@@ -346,7 +323,7 @@ impl ShardedStore {
     /// Inserts a record into its shard (shared-reference twin of
     /// [`ResultStore::put`]); returns whether the record was fresh.
     ///
-    /// Takes the shard's write lock: the in-memory index and the JSONL file
+    /// Takes the shard's write lock: the in-memory index and the segment file
     /// are updated together, so a reader sees either the old state or the new
     /// record, never a torn one.
     ///
@@ -430,98 +407,6 @@ impl ShardedStore {
             canonicals.push(record.canonical.clone());
         }
         (canonicals, done)
-    }
-
-    /// Folds a legacy single-file JSONL cache into the shards.
-    ///
-    /// Every record of `path` is routed to its shard; records whose canonical
-    /// string is already stored are skipped.  The legacy file itself is left
-    /// untouched.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O and parse errors from either side.
-    pub fn merge_file(&self, path: impl AsRef<Path>) -> Result<MergeOutcome, ShardError> {
-        let legacy = JsonlStore::open(path)?;
-        let mut outcome = MergeOutcome {
-            merged: 0,
-            duplicates: 0,
-        };
-        for record in legacy.records() {
-            if self.put_record(record)? {
-                outcome.merged += 1;
-            } else {
-                outcome.duplicates += 1;
-            }
-        }
-        Ok(outcome)
-    }
-
-    /// Rewrites every shard into pure segment form: drops duplicate disk
-    /// records, moves records into the shard their key routes to, and
-    /// retires legacy JSONL shard files (their records now live in the
-    /// segments).
-    ///
-    /// Takes `&mut self` — compaction is exclusive by construction, no reader
-    /// or writer can observe a half-rewritten shard.  Each shard is written to
-    /// a temporary file and atomically renamed into place.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shard I/O errors; on error the already-renamed shards keep
-    /// their compacted contents and the rest keep their originals (every state
-    /// in between is a valid store).
-    pub fn compact(&mut self) -> Result<CompactOutcome, ShardError> {
-        let shard_count = self.shards.len();
-        // Drain: collect every record, remembering which shard held it, and
-        // count raw disk records (segment records plus legacy JSONL lines)
-        // to report dropped duplicates.
-        let mut routed: Vec<Vec<PointRecord>> = vec![Vec::new(); shard_count];
-        let mut disk_records = 0;
-        let mut kept = 0;
-        let mut rerouted = 0;
-        for (index, slot) in self.shards.iter_mut().enumerate() {
-            let shard = slot.get_mut().expect("compact holds the only reference");
-            disk_records += shard.segment_records();
-            let legacy = self.dir.join(legacy_file_name(index));
-            if legacy.exists() {
-                let raw = std::fs::read_to_string(&legacy)?;
-                disk_records += raw.lines().filter(|line| !line.trim().is_empty()).count();
-            }
-            for record in shard.records() {
-                let target = (record.key % shard_count as u64) as usize;
-                let bucket = &mut routed[target];
-                if bucket
-                    .iter()
-                    .any(|held| held.key == record.key && held.canonical == record.canonical)
-                {
-                    continue; // Cross-shard duplicate: keep the first copy.
-                }
-                if target != index {
-                    rerouted += 1;
-                }
-                kept += 1;
-                bucket.push(record.clone());
-            }
-        }
-        // Rewrite: temp file + atomic rename, retire the legacy JSONL, then
-        // reopen the shard handles.
-        for (index, records) in routed.iter().enumerate() {
-            let path = self.dir.join(shard_file_name(index));
-            let tmp = self.dir.join(format!("{}.tmp", shard_file_name(index)));
-            SegmentStore::write_records(&tmp, records.iter())?;
-            std::fs::rename(&tmp, &path)?;
-            let legacy = self.dir.join(legacy_file_name(index));
-            if legacy.exists() {
-                std::fs::remove_file(&legacy)?;
-            }
-            self.shards[index] = RwLock::new(SegmentStore::open(&path)?);
-        }
-        Ok(CompactOutcome {
-            kept,
-            duplicates_dropped: disk_records - kept,
-            rerouted,
-        })
     }
 }
 
@@ -642,101 +527,6 @@ mod tests {
             ShardedStore::open(&dir, 0),
             Err(ShardError::EmptyShardCount)
         ));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn merge_folds_a_legacy_single_file_cache_into_the_shards() {
-        let dir = scratch_dir("merge");
-        std::fs::create_dir_all(&dir).unwrap();
-        let legacy_path = dir.join("legacy.jsonl");
-        let records: Vec<PointRecord> = (0..10)
-            .map(|i| record_for(&format!("kernel=mat;algo=FR-RA;budget={i}")))
-            .collect();
-        {
-            let mut legacy = JsonlStore::open(&legacy_path).unwrap();
-            for record in &records {
-                legacy.put(record).unwrap();
-            }
-        }
-        let store = ShardedStore::open(&dir, 3).unwrap();
-        // Pre-seed two of the records so the merge reports duplicates.
-        store.put_record(&records[0]).unwrap();
-        store.put_record(&records[5]).unwrap();
-        let outcome = store.merge_file(&legacy_path).unwrap();
-        assert_eq!(
-            outcome,
-            MergeOutcome {
-                merged: 8,
-                duplicates: 2
-            }
-        );
-        assert_eq!(store.len().unwrap(), 10);
-        for record in &records {
-            assert_eq!(
-                store.get_record(record.key, &record.canonical).unwrap(),
-                Some(record.clone())
-            );
-        }
-        drop(store);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn compact_drops_duplicate_lines_and_reroutes_misplaced_records() {
-        let dir = scratch_dir("compact");
-        std::fs::create_dir_all(&dir).unwrap();
-        let a = record_for("kernel=fir;algo=CPA-RA;budget=1");
-        let b = record_for("kernel=fir;algo=CPA-RA;budget=2");
-        // Hand-build a dirty *legacy* directory: record `a` duplicated in
-        // its own JSONL shard file, record `b` sitting in the wrong shard.
-        let route = |r: &PointRecord| (r.key % 2) as usize;
-        let wrong = 1 - route(&b);
-        let mut shard_lines = [String::new(), String::new()];
-        shard_lines[route(&a)].push_str(&format!("{}\n{}\n", a.to_json_line(), a.to_json_line()));
-        shard_lines[wrong].push_str(&format!("{}\n", b.to_json_line()));
-        std::fs::write(dir.join(legacy_file_name(0)), &shard_lines[0]).unwrap();
-        std::fs::write(dir.join(legacy_file_name(1)), &shard_lines[1]).unwrap();
-
-        let mut store = ShardedStore::open(&dir, 2).unwrap();
-        // Before compaction lookups go through routing only, so the record
-        // sitting in the wrong shard is invisible...
-        assert_eq!(
-            store.get_record(a.key, &a.canonical).unwrap(),
-            Some(a.clone())
-        );
-        assert_eq!(store.get_record(b.key, &b.canonical).unwrap(), None);
-
-        let outcome = store.compact().unwrap();
-        assert_eq!(
-            outcome,
-            CompactOutcome {
-                kept: 2,
-                duplicates_dropped: 1,
-                rerouted: 1
-            }
-        );
-        // After compaction both records resolve through routing.
-        assert_eq!(
-            store.get_record(a.key, &a.canonical).unwrap(),
-            Some(a.clone())
-        );
-        assert_eq!(
-            store.get_record(b.key, &b.canonical).unwrap(),
-            Some(b.clone())
-        );
-        assert_eq!(store.len().unwrap(), 2);
-        // The legacy JSONL files are retired and the segments are clean:
-        // raw disk records equal held records.
-        drop(store);
-        let mut disk_records = 0;
-        for index in 0..2 {
-            assert!(!dir.join(legacy_file_name(index)).exists());
-            let shard = SegmentStore::open(dir.join(shard_file_name(index))).unwrap();
-            assert_eq!(shard.torn_records(), 0);
-            disk_records += shard.segment_records();
-        }
-        assert_eq!(disk_records, 2);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -165,7 +165,7 @@ fn concurrent_mixed_workload_is_correct_and_evaluates_each_miss_once() {
         .map(|index| {
             let path = dir.join(format!("shard-{index:03}.seg"));
             let shard = srra_explore::SegmentStore::open(&path).expect("segment shard opens");
-            assert_eq!(shard.torn_records(), 0);
+            assert_eq!(shard.torn_bytes(), None);
             shard.segment_records()
         })
         .sum();

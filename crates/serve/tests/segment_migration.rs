@@ -1,16 +1,28 @@
 //! Migration coverage for the binary segment shards: a legacy JSONL cache
-//! directory re-hydrates unmodified, `compact` rewrites it to pure segment
-//! form (deleting the JSONL files), a restart over the rewritten directory is
-//! byte-identical, and a torn trailing segment record is truncated and
-//! counted instead of panicking.
+//! directory is refused untouched, `import_jsonl` copies its shard files
+//! into a fresh segment directory bit-exactly, a restart over that
+//! directory is byte-identical, and a torn or corrupt segment tail is
+//! truncated, logged and counted instead of panicking.
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 
-use srra_explore::{fnv1a_64, PointRecord, SegmentStore};
-use srra_serve::ShardedStore;
+use srra_explore::{fnv1a_64, import_jsonl, PointRecord, SegmentStore};
+use srra_serve::{ShardError, ShardedStore};
 
 const SHARDS: usize = 2;
+
+/// Serializes the tests that read deltas of the process-global torn
+/// counters.
+static TORN_COUNTERS: Mutex<()> = Mutex::new(());
+
+fn torn_counter(name: &str) -> u64 {
+    srra_obs::Registry::global()
+        .snapshot()
+        .counter(name)
+        .unwrap_or(0)
+}
 
 fn scratch_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("srra-seg-migrate-{tag}-{}", std::process::id()));
@@ -74,88 +86,97 @@ fn shard_files(dir: &Path, suffix: &str) -> Vec<PathBuf> {
     files
 }
 
+fn read_all(paths: &[PathBuf]) -> Vec<Vec<u8>> {
+    paths
+        .iter()
+        .map(|path| std::fs::read(path).unwrap())
+        .collect()
+}
+
+/// Every record resolves with the exact bytes and float bits it was stored
+/// with, and a duplicate put dedupes.
+fn assert_resolves_bit_exactly(store: &ShardedStore, records: &[PointRecord]) {
+    for record in records {
+        let found = store
+            .get_record(record.key, &record.canonical)
+            .unwrap()
+            .expect("record resolves");
+        assert_eq!(found.to_json_line(), record.to_json_line());
+        assert_eq!(
+            found.execution_time_us.to_bits(),
+            record.execution_time_us.to_bits()
+        );
+        assert!(!store.put_record(record).unwrap());
+    }
+}
+
 #[test]
-fn legacy_jsonl_dirs_rehydrate_compact_to_segments_and_restart_byte_identically() {
+fn legacy_jsonl_dirs_are_refused_untouched_and_import_into_segments_bit_exactly() {
     const RECORDS: u64 = 32;
     let dir = scratch_dir("legacy");
     let records: Vec<PointRecord> = (0..RECORDS).map(record_for).collect();
     write_legacy_dir(&dir, &records);
-    let legacy_before: Vec<Vec<u8>> = shard_files(&dir, ".jsonl")
-        .iter()
-        .map(|path| std::fs::read(path).unwrap())
-        .collect();
+    let legacy = shard_files(&dir, ".jsonl");
+    let legacy_before = read_all(&legacy);
 
-    // An unmodified legacy directory opens and answers every record; reads
-    // leave the JSONL files byte-identical (they are fallback, not rewritten
-    // on open).
-    {
-        let store = ShardedStore::open(&dir, SHARDS).unwrap();
-        for record in &records {
-            let found = store
-                .get_record(record.key, &record.canonical)
-                .unwrap()
-                .expect("legacy record resolves");
-            assert_eq!(found.to_json_line(), record.to_json_line());
-            // Duplicate puts dedupe against the legacy records too.
-            assert!(!store.put_record(record).unwrap());
+    // Opening the old directory fails with a typed error naming the
+    // converter, and writes nothing: no segment file, no lock file.
+    match ShardedStore::open(&dir, SHARDS) {
+        Err(err @ ShardError::Legacy(_)) => {
+            assert!(err.to_string().contains("srra migrate"), "{err}");
         }
-        assert_eq!(
-            store.shard_sizes().unwrap().iter().sum::<usize>(),
-            RECORDS as usize
-        );
+        other => panic!("expected ShardError::Legacy, got {other:?}"),
     }
-    let legacy_after: Vec<Vec<u8>> = shard_files(&dir, ".jsonl")
-        .iter()
-        .map(|path| std::fs::read(path).unwrap())
+    let mut listing: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
         .collect();
-    assert_eq!(legacy_before, legacy_after, "open must not rewrite JSONL");
-
-    // `compact` rewrites everything into pure segment form and removes the
-    // legacy files.
-    {
-        let mut store = ShardedStore::open(&dir, SHARDS).unwrap();
-        let outcome = store.compact().unwrap();
-        assert_eq!(outcome.kept, RECORDS as usize);
-        assert_eq!(outcome.duplicates_dropped, 0);
-        for record in &records {
-            let found = store
-                .get_record(record.key, &record.canonical)
-                .unwrap()
-                .expect("compacted record resolves");
-            assert_eq!(found.to_json_line(), record.to_json_line());
-        }
-    }
-    assert!(
-        shard_files(&dir, ".jsonl").is_empty(),
-        "compact deletes the legacy JSONL shards"
+    listing.sort();
+    assert_eq!(listing, legacy, "open must create nothing in a legacy dir");
+    assert_eq!(
+        read_all(&legacy),
+        legacy_before,
+        "open must not touch JSONL"
     );
-    let segments = shard_files(&dir, ".seg");
-    assert_eq!(segments.len(), SHARDS);
-    let seg_before: Vec<Vec<u8>> = segments
-        .iter()
-        .map(|path| std::fs::read(path).unwrap())
-        .collect();
 
-    // Restart over the rewritten directory: every record resolves and the
+    // Importing each shard file into a fresh directory copies every record.
+    let fresh = scratch_dir("legacy-fresh");
+    {
+        let mut store = ShardedStore::open(&fresh, SHARDS).unwrap();
+        let migrated: usize = legacy
+            .iter()
+            .map(|path| {
+                let done = import_jsonl(path, &mut store).unwrap();
+                assert_eq!(done.duplicates, 0);
+                done.migrated
+            })
+            .sum();
+        assert_eq!(migrated, RECORDS as usize);
+        assert_resolves_bit_exactly(&store, &records);
+    }
+    assert_eq!(
+        read_all(&legacy),
+        legacy_before,
+        "import must not touch JSONL"
+    );
+    let segments = shard_files(&fresh, ".seg");
+    assert_eq!(segments.len(), SHARDS);
+    let seg_before = read_all(&segments);
+
+    // Restart over the imported directory: every record resolves and the
     // segment files stay byte-identical (re-hydration is read-only).
     {
-        let store = ShardedStore::open(&dir, SHARDS).unwrap();
-        for record in &records {
-            let found = store
-                .get_record(record.key, &record.canonical)
-                .unwrap()
-                .expect("restart resolves every record");
-            assert_eq!(found.to_json_line(), record.to_json_line());
-            assert!(!store.put_record(record).unwrap());
-        }
+        let store = ShardedStore::open(&fresh, SHARDS).unwrap();
+        assert_resolves_bit_exactly(&store, &records);
     }
-    let seg_after: Vec<Vec<u8>> = shard_files(&dir, ".seg")
-        .iter()
-        .map(|path| std::fs::read(path).unwrap())
-        .collect();
-    assert_eq!(seg_before, seg_after, "restart must not rewrite segments");
+    assert_eq!(
+        read_all(&segments),
+        seg_before,
+        "restart must not rewrite segments"
+    );
 
     std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::remove_dir_all(&fresh).unwrap();
 }
 
 #[test]
@@ -183,10 +204,8 @@ fn a_torn_trailing_segment_is_truncated_and_counted_not_a_panic() {
         file.write_all(b"only a few payload bytes").unwrap();
     }
 
-    let torn_before = srra_obs::Registry::global()
-        .snapshot()
-        .counter("store_torn_segments_total")
-        .unwrap_or(0);
+    let _serial = TORN_COUNTERS.lock().unwrap_or_else(|err| err.into_inner());
+    let torn_before = torn_counter("store_torn_segments_total");
     let store = ShardedStore::open(&dir, SHARDS).unwrap();
     for index in 0..RECORDS {
         let expected = record_for(index);
@@ -196,10 +215,7 @@ fn a_torn_trailing_segment_is_truncated_and_counted_not_a_panic() {
             .expect("intact records survive the torn tail");
         assert_eq!(found.to_json_line(), expected.to_json_line());
     }
-    let torn_after = srra_obs::Registry::global()
-        .snapshot()
-        .counter("store_torn_segments_total")
-        .unwrap_or(0);
+    let torn_after = torn_counter("store_torn_segments_total");
     assert_eq!(torn_after - torn_before, 1, "the torn record is counted");
     drop(store);
 
@@ -207,7 +223,48 @@ fn a_torn_trailing_segment_is_truncated_and_counted_not_a_panic() {
     // length and a direct segment scan agrees nothing is torn any more.
     assert_eq!(std::fs::metadata(&victim).unwrap().len(), clean_len);
     let shard = SegmentStore::open(&victim).unwrap();
-    assert_eq!(shard.torn_records(), 0);
+    assert_eq!(shard.torn_bytes(), None);
+
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_corrupt_first_header_truncates_the_whole_shard_loudly() {
+    let dir = scratch_dir("first-header");
+    {
+        let store = ShardedStore::open(&dir, 1).unwrap();
+        for index in 0..3 {
+            assert!(store.put_record(&record_for(index)).unwrap());
+        }
+    }
+    // Flip one byte of the first record header's key: the scan cannot get
+    // past it, so all three records are lost.
+    let victim = dir.join("shard-000.seg");
+    let mut bytes = std::fs::read(&victim).unwrap();
+    let file_len = bytes.len() as u64;
+    bytes[8 + 4] ^= 0xff;
+    std::fs::write(&victim, &bytes).unwrap();
+
+    // The segment store reports the dropped range (checked on a copy, since
+    // opening truncates)...
+    let copy = dir.join("copy.seg");
+    std::fs::write(&copy, &bytes).unwrap();
+    assert_eq!(
+        SegmentStore::open(&copy).unwrap().torn_bytes(),
+        Some(8..file_len)
+    );
+
+    // ...and the sharded store counts every dropped byte.
+    let _serial = TORN_COUNTERS.lock().unwrap_or_else(|err| err.into_inner());
+    let bytes_before = torn_counter("store_torn_bytes_total");
+    let store = ShardedStore::open(&dir, 1).unwrap();
+    assert_eq!(
+        torn_counter("store_torn_bytes_total") - bytes_before,
+        file_len - 8
+    );
+    assert_eq!(store.shard_sizes().unwrap(), vec![0]);
+    drop(store);
+    assert_eq!(std::fs::metadata(&victim).unwrap().len(), 8);
 
     std::fs::remove_dir_all(&dir).unwrap();
 }

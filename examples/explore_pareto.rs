@@ -8,13 +8,13 @@
 //! cargo run --example explore_pareto
 //! ```
 //!
-//! Running it a second time answers every design point from the JSONL cache
-//! (watch the hit count) and prints byte-identical tables.
+//! Running it a second time answers every design point from the segment
+//! cache file (watch the hit count) and prints byte-identical tables.
 
 use srra_core::AllocatorRegistry;
 use srra_explore::{
     best_allocators, pareto_frontier, render_best_allocators, render_frontier, DesignSpace,
-    Explorer, JsonlStore,
+    Explorer, SegmentStore,
 };
 use srra_fpga::DeviceModel;
 
@@ -39,8 +39,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         space.len()
     );
 
-    let cache_path = std::env::temp_dir().join("srra-explore-example.jsonl");
-    let mut store = JsonlStore::open(&cache_path)?;
+    let cache_path = std::env::temp_dir().join("srra-explore-example.seg");
+    let mut store = SegmentStore::open(&cache_path)?;
     let run = Explorer::new(4).explore(&space, &mut store)?;
     println!(
         "{} cache hits, {} evaluated (cache: {})\n",

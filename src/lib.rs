@@ -42,8 +42,8 @@
 //!
 //! Three lines take a kernel from specification to the set of non-dominated
 //! (cycles × slices × registers) design points; swap
-//! [`srra_explore::MemoryStore`] for a [`srra_explore::JsonlStore`] to persist
-//! results so repeated sweeps never re-evaluate a point:
+//! [`srra_explore::MemoryStore`] for a [`srra_explore::SegmentStore`] to
+//! persist results so repeated sweeps never re-evaluate a point:
 //!
 //! ```
 //! use srra::prelude::*;
@@ -78,7 +78,7 @@ pub mod prelude {
         RegisterAllocation,
     };
     pub use srra_dfg::DataFlowGraph;
-    pub use srra_explore::{DesignSpace, Exploration, Explorer, JsonlStore, MemoryStore};
+    pub use srra_explore::{DesignSpace, Exploration, Explorer, MemoryStore};
     pub use srra_fpga::{DeviceModel, HardwareDesign};
     pub use srra_ir::{ArrayRef, Kernel, LoopNest};
     pub use srra_obs::{MetricsSnapshot, Registry};

@@ -4,6 +4,7 @@
 
 use proptest::prelude::*;
 use srra_core::AllocatorKind;
+use srra_explore::codec::{from_bytes, to_bytes};
 use srra_explore::{
     dominates, exploration_csv, pareto_frontier, render_exploration, DesignSpace, Explorer,
     MemoryStore, PointRecord, SegmentStore,
@@ -248,6 +249,25 @@ proptest! {
         );
         // Re-encoding is byte-identical, so cached files never churn.
         prop_assert_eq!(back.to_json_line(), line);
+
+        // The binary codec (wire payloads and segment files) is exact too.
+        let bytes = to_bytes(&record).expect("a record always encodes");
+        let back: PointRecord = match from_bytes(&bytes) {
+            Ok(back) => back,
+            Err(err) => return Err(TestCaseError::fail(format!(
+                "failed to decode own binary encoding: {err}"
+            ))),
+        };
+        prop_assert_eq!(&back, &record);
+        prop_assert_eq!(
+            back.clock_period_ns.to_bits(),
+            record.clock_period_ns.to_bits()
+        );
+        prop_assert_eq!(
+            back.execution_time_us.to_bits(),
+            record.execution_time_us.to_bits()
+        );
+        prop_assert_eq!(to_bytes(&back).expect("re-encodes"), bytes);
     }
 }
 

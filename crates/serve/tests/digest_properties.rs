@@ -171,3 +171,34 @@ proptest! {
         prop_assert_eq!(unpack(via_binary), digests);
     }
 }
+
+/// The digest folds each record's JSON line, so replicas of different
+/// versions agree only while that rendering holds still.  The two records
+/// of the `record.jsonl` wire fixture must keep these exact digests.
+#[test]
+fn golden_records_keep_their_digests() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/record.jsonl");
+    let text = std::fs::read_to_string(path).expect("fixture reads");
+    let dir = scratch("golden");
+    let store = ShardedStore::open(&dir, 2).unwrap();
+    for line in text.lines() {
+        let record = PointRecord::from_json_line(line).expect("fixture parses");
+        assert!(store.put_record(&record).unwrap());
+    }
+    let digests = store.digests();
+    drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(
+        digests,
+        [
+            ShardDigest {
+                records: 1,
+                fold: 0x167f_9e8f_cd73_a7b4,
+            },
+            ShardDigest {
+                records: 1,
+                fold: 0x06e4_d7e3_8b82_8f1f,
+            },
+        ]
+    );
+}

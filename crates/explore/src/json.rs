@@ -36,6 +36,7 @@ impl JsonValue {
     /// Returns a description of the first syntax problem.
     pub fn parse(text: &str) -> Result<Self, String> {
         let mut parser = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -166,6 +167,7 @@ pub fn render_string(out: &mut String, text: &str) {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -273,10 +275,12 @@ impl Parser<'_> {
     fn string(&mut self) -> Result<String, String> {
         self.expect(b'"')?;
         let mut out = String::new();
-        // Decode by chars, not bytes: the input is valid UTF-8 already, so
-        // track multi-byte sequences through a chars iterator over the rest.
-        let rest = std::str::from_utf8(&self.bytes[self.pos..])
-            .map_err(|_| "invalid UTF-8 in string".to_owned())?;
+        // Decode by chars, not bytes, through a chars iterator over the rest
+        // of the input.  `pos` sits just past an ASCII quote, so it is a char
+        // boundary and slicing is O(1); re-validating the rest of the input
+        // as UTF-8 for every string would make a parse quadratic in the
+        // number of strings.
+        let rest = &self.text[self.pos..];
         let mut chars = rest.char_indices();
         loop {
             let Some((offset, ch)) = chars.next() else {

@@ -33,6 +33,8 @@
 #                           re-run evaluates nothing; `srra migrate` copies a
 #                           JSON-lines cache; a directory of JSON-lines shards
 #                           is refused untouched, naming `srra migrate`)
+#  12. size report         (non-test Rust lines per file and per workspace
+#                           crate; reports only, gates nothing)
 #
 # Run from the repository root: ./ci.sh
 set -euo pipefail
@@ -497,5 +499,19 @@ wait "$NODE_C_PID"
 NODE_C_PID=""
 wait "$NODE_D_PID"
 NODE_D_PID=""
+
+echo "==> size report"
+# Non-test lines: each src/**/*.rs up to its first `#[cfg(test)]` line.
+for crate in . crates/*/ crates/shims/*/; do
+  crate="${crate%/}"
+  [ -d "$crate/src" ] || continue
+  total=0
+  while IFS= read -r file; do
+    lines="$(awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$file")"
+    printf '%7d  %s\n' "$lines" "${file#./}"
+    total=$((total + lines))
+  done < <(find "$crate/src" -name '*.rs' | sort)
+  printf '%7d  %s (crate total)\n' "$total" "$crate"
+done
 
 echo "ci.sh: all checks passed"

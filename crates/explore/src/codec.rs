@@ -1,57 +1,85 @@
-//! Length-prefixed binary serialization for hot-path wire and storage records.
+//! The workspace's one codec: every value type's JSON and binary encodings,
+//! and the field layer that builds records and wire messages out of them.
 //!
-//! The workspace's `serde` is an offline no-op shim, so — like the JSON
-//! encoding of [`crate::PointRecord::to_json_line`] — the binary codec is
-//! hand-rolled behind a minimal `StorageSerde`-style trait pair:
-//! [`WireSerde::serialize_into`] writes a value to any [`Write`] sink,
-//! [`WireSerde::deserialize_from`] reads it back from any [`Read`] source.  The encoding is fixed-order and
-//! fixed-width where possible:
+//! The workspace's `serde` is an offline no-op shim, so the codec is
+//! hand-rolled behind one trait pair, in the manner of papyrus's
+//! `StorageSerde`: [`Encode`] writes a value and [`Decode`] reads it back,
+//! each in both codecs.  Structs made only of fields implement [`Fields`]
+//! instead and get both traits for free: they list their fields once,
+//! against a [`Writer`] and a [`Reader`].  The JSON pair ([`JsonWriter`] /
+//! [`JsonReader`]) maps a field to an object member by key; the binary pair
+//! ([`BinWriter`] / [`BinReader`]) maps it to the next value in declaration
+//! order.  Both are generic (static dispatch), so each codec compiles to
+//! straight-line code per message.
 //!
-//! * integers are little-endian (`u8` raw, `u32`/`u64`/`i64` via
-//!   `to_le_bytes`),
-//! * `f64` travels as its IEEE-754 bit pattern (`to_bits`), so every value —
-//!   including NaN payloads, infinities and signed zero — round-trips
-//!   bit-exactly,
+//! [`PointRecord`](crate::PointRecord) is such a struct, so its JSON line,
+//! its serve wire encodings and its segment file payload
+//! ([`crate::SegmentStore`]) all come from its one [`Fields`] impl.  The
+//! serve crate's requests and replies are built from the same layer.  The
+//! telemetry values those replies carry ([`Span`], [`MetricsSnapshot`],
+//! [`SeriesSample`], [`SnapshotDelta`]) get their encodings here too: the
+//! orphan rule allows them only in the crate that owns the traits.
+//!
+//! The binary encoding is fixed-order and fixed-width where possible:
+//!
+//! * integers are little-endian (`u8` raw, `u64`/`i64` via `to_le_bytes`),
+//! * `f64` travels as its IEEE-754 bit pattern, so every value — including
+//!   NaN payloads, infinities and signed zero — round-trips bit-exactly,
 //! * `bool` is one byte (`0`/`1`; anything else is corruption),
 //! * strings are a `u32` byte length followed by UTF-8 bytes,
 //! * sequences are a `u32` element count followed by the elements,
 //! * options are a one-byte discriminant (`0` absent, `1` present).
 //!
-//! Length headers are validated against hard caps ([`MAX_TEXT_LEN`],
-//! [`MAX_SEQ_LEN`]) before any allocation, so a corrupt or hostile header
-//! cannot ask the decoder to reserve gigabytes.
-//!
-//! [`PointRecord`] implements the trait by writing its fields in declaration
-//! order; the serving layer builds its request/reply framing on the same
-//! primitives (see `crates/serve`), and the segment shard files
-//! ([`crate::SegmentStore`]) persist records in exactly this payload encoding.
+//! Lengths are checked against hard caps ([`MAX_TEXT_LEN`],
+//! [`MAX_SEQ_LEN`]) on both sides: the encoder refuses a value its decoder
+//! would reject, the binary decoder checks a header before any allocation,
+//! so a corrupt or hostile header cannot ask it to reserve gigabytes, and
+//! the JSON decoder applies the same sequence cap, so both codecs accept
+//! the same batches.
 
+use std::fmt::Write as _;
 use std::io::{Read, Write};
 
-use crate::store::PointRecord;
+use srra_obs::{
+    valid_metric_name, HistogramSnapshot, MetricsSnapshot, SeriesSample, SnapshotDelta, Span,
+    LATENCY_BUCKETS,
+};
 
-/// Longest string the decoder will allocate for (16 MiB).
+use crate::json::{render_string, JsonValue};
+
+/// Longest string the codec will encode or decode (16 MiB).
 ///
 /// The longest legitimate strings on the wire are Prometheus expositions and
 /// `distribution` fields — well under a megabyte.  A length header above this
 /// cap is corruption, not data.
 pub const MAX_TEXT_LEN: usize = 16 << 20;
 
-/// Most elements a single decoded sequence may claim (1 << 20).
+/// Most elements a single sequence may hold (1 << 20).
 ///
 /// Batched ops carry at most a few thousand entries; a count above this cap
 /// is corruption, not data.
 pub const MAX_SEQ_LEN: usize = 1 << 20;
 
-/// Errors of the binary codec.
+/// Errors of the codec.
 #[derive(Debug)]
 pub enum WireError {
     /// The underlying reader/writer failed (includes truncation: a reader
     /// that ends mid-value surfaces as an `UnexpectedEof` I/O error).
     Io(std::io::Error),
-    /// The bytes were read but do not decode: a bad discriminant, an
-    /// over-cap length header, invalid UTF-8, or trailing garbage.
+    /// The bytes were read but do not decode — a bad discriminant, an
+    /// over-cap length header, invalid UTF-8, trailing garbage, a missing or
+    /// mistyped JSON field — or a value is too long to encode.
     Corrupt(String),
+}
+
+impl WireError {
+    /// The error's description, for the JSON codec's `String` errors.
+    pub fn into_message(self) -> String {
+        match self {
+            WireError::Corrupt(message) => message,
+            WireError::Io(err) => err.to_string(),
+        }
+    }
 }
 
 impl std::fmt::Display for WireError {
@@ -71,101 +99,311 @@ impl From<std::io::Error> for WireError {
     }
 }
 
-/// Binary serialization seam: a value that can write itself to any [`Write`]
-/// sink and read itself back from any [`Read`] source.
-///
-/// The pair mirrors papyrus's `StorageSerde` — one trait, two directions, no
-/// intermediate tree — so the same impl serves the wire protocol (writing
-/// into a connection's reused scratch buffer) and the segment store files.
-pub trait WireSerde: Sized {
-    /// Appends the value's binary encoding to `out`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError::Io`] when the sink fails; encoding itself cannot
-    /// fail.
-    fn serialize_into(&self, out: &mut impl Write) -> Result<(), WireError>;
-
-    /// Reads one value's binary encoding from `reader`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError::Io`] when the source fails or ends mid-value,
-    /// and [`WireError::Corrupt`] when the bytes do not decode.
-    fn deserialize_from(reader: &mut impl Read) -> Result<Self, WireError>;
+/// The leading part of a message: its binary tag byte, and the members a
+/// JSON object opens with (`"op":…` for requests, `"ok":…` for replies).
+pub trait Head: Copy {
+    /// The binary tag byte.
+    fn tag(self) -> u8;
+    /// Writes the JSON head members.
+    fn json(self, w: &mut JsonWriter<'_>);
 }
 
-impl WireSerde for u8 {
-    fn serialize_into(&self, out: &mut impl Write) -> Result<(), WireError> {
-        out.write_all(&[*self])?;
+/// A bare variant tag: binary only, nothing in JSON.
+impl Head for u8 {
+    fn tag(self) -> u8 {
+        self
+    }
+
+    fn json(self, _: &mut JsonWriter<'_>) {}
+}
+
+/// Writes one message's fields in either codec.
+pub trait Writer {
+    /// Whether this writer speaks JSON (where [`field_if`](Self::field_if)
+    /// may skip a field).
+    const JSON: bool;
+
+    /// Opens the message with its head.
+    fn open(&mut self, head: impl Head) -> Result<(), WireError>;
+
+    /// Writes one field: a JSON member under `key`, or the next binary value.
+    fn field<T: Encode + ?Sized>(&mut self, key: &str, value: &T) -> Result<(), WireError>;
+
+    /// As [`field`](Self::field), except that JSON leaves the member out
+    /// unless `json` holds.  Binary always writes the value.
+    fn field_if<T: Encode + ?Sized>(
+        &mut self,
+        key: &str,
+        value: &T,
+        json: bool,
+    ) -> Result<(), WireError> {
+        if json || !Self::JSON {
+            self.field(key, value)
+        } else {
+            Ok(())
+        }
+    }
+
+    /// A field only JSON carries (a derived total); binary skips it.
+    fn json_only<T: Encode + ?Sized>(&mut self, key: &str, value: &T) -> Result<(), WireError> {
+        if Self::JSON {
+            self.field(key, value)
+        } else {
+            Ok(())
+        }
+    }
+}
+
+/// Reads one message's fields in either codec.
+pub trait Reader {
+    /// Reads one field: the JSON member `key` (required), or the next binary
+    /// value.
+    fn field<T: Decode>(&mut self, key: &str) -> Result<T, WireError>;
+
+    /// As [`field`](Self::field), except that a missing JSON member yields
+    /// `default()`.  Binary always reads the value.
+    fn field_or<T: Decode>(
+        &mut self,
+        key: &str,
+        default: impl FnOnce() -> T,
+    ) -> Result<T, WireError>;
+
+    /// Reads a variant tag: the next binary byte, or in JSON the tag that
+    /// `json` derives from the object's members.
+    fn tag(&mut self, json: impl FnOnce(&JsonValue) -> u8) -> Result<u8, WireError>;
+}
+
+/// A value type's encoding in both codecs.
+pub trait Encode {
+    /// Appends the JSON encoding.
+    fn render(&self, out: &mut String);
+
+    /// Appends the binary encoding.
+    fn write(&self, out: &mut impl Write) -> Result<(), WireError>;
+}
+
+/// A value type's decoding in both codecs.
+pub trait Decode: Sized {
+    /// What the JSON value must be, for error messages (`a string`, …).
+    const KIND: &'static str;
+
+    /// Decodes a JSON value.
+    fn from_json(value: &JsonValue) -> Result<Self, String>;
+
+    /// Reads the binary encoding.
+    fn read(reader: &mut impl Read) -> Result<Self, WireError>;
+}
+
+/// A struct encoded as its field list: a JSON object, or its fields' binary
+/// values back to back.
+pub trait Fields: Sized {
+    /// The struct's name in JSON error messages.
+    const NAME: &'static str;
+
+    /// Writes every field.
+    fn write_fields<W: Writer>(&self, w: &mut W) -> Result<(), WireError>;
+
+    /// Reads every field.
+    fn read_fields<R: Reader>(r: &mut R) -> Result<Self, WireError>;
+}
+
+impl<T: Fields> Encode for T {
+    fn render(&self, out: &mut String) {
+        JsonWriter::object(out, |w| self.write_fields(w));
+    }
+
+    fn write(&self, out: &mut impl Write) -> Result<(), WireError> {
+        self.write_fields(&mut BinWriter(out))
+    }
+}
+
+impl<T: Fields> Decode for T {
+    const KIND: &'static str = "an object";
+
+    fn from_json(value: &JsonValue) -> Result<Self, String> {
+        T::read_fields(&mut JsonReader::new(value, T::NAME)).map_err(WireError::into_message)
+    }
+
+    fn read(reader: &mut impl Read) -> Result<Self, WireError> {
+        T::read_fields(&mut BinReader(reader))
+    }
+}
+
+/// Writes a JSON object's members into a caller-owned buffer.
+pub struct JsonWriter<'a> {
+    out: &'a mut String,
+    empty: bool,
+}
+
+impl<'a> JsonWriter<'a> {
+    /// Appends one JSON object to `out`, its members written by `body`.
+    pub fn object(out: &'a mut String, body: impl FnOnce(&mut Self) -> Result<(), WireError>) {
+        out.push('{');
+        let mut w = Self { out, empty: true };
+        // Rendering JSON into a `String` cannot fail.
+        let rendered = body(&mut w);
+        debug_assert!(rendered.is_ok());
+        w.out.push('}');
+    }
+
+    /// Starts the member `key` (keys are plain identifiers: no escaping).
+    pub fn member(&mut self, key: &str) -> &mut String {
+        if !self.empty {
+            self.out.push(',');
+        }
+        self.empty = false;
+        self.out.push('"');
+        self.out.push_str(key);
+        self.out.push_str("\":");
+        self.out
+    }
+}
+
+impl Writer for JsonWriter<'_> {
+    const JSON: bool = true;
+
+    fn open(&mut self, head: impl Head) -> Result<(), WireError> {
+        head.json(self);
         Ok(())
     }
 
-    fn deserialize_from(reader: &mut impl Read) -> Result<Self, WireError> {
-        let mut buf = [0u8; 1];
-        reader.read_exact(&mut buf)?;
-        Ok(buf[0])
-    }
-}
-
-impl WireSerde for u32 {
-    fn serialize_into(&self, out: &mut impl Write) -> Result<(), WireError> {
-        out.write_all(&self.to_le_bytes())?;
+    fn field<T: Encode + ?Sized>(&mut self, key: &str, value: &T) -> Result<(), WireError> {
+        value.render(self.member(key));
         Ok(())
     }
+}
 
-    fn deserialize_from(reader: &mut impl Read) -> Result<Self, WireError> {
-        let mut buf = [0u8; 4];
-        reader.read_exact(&mut buf)?;
-        Ok(u32::from_le_bytes(buf))
+/// Reads fields as the members of one JSON object.
+pub struct JsonReader<'a> {
+    value: &'a JsonValue,
+    /// The message's name in error messages.
+    what: &'a str,
+}
+
+impl<'a> JsonReader<'a> {
+    /// A reader over the object `value`, named `what` in error messages.
+    pub fn new(value: &'a JsonValue, what: &'a str) -> Self {
+        Self { value, what }
     }
 }
 
-impl WireSerde for u64 {
-    fn serialize_into(&self, out: &mut impl Write) -> Result<(), WireError> {
-        out.write_all(&self.to_le_bytes())?;
-        Ok(())
+impl Reader for JsonReader<'_> {
+    fn field<T: Decode>(&mut self, key: &str) -> Result<T, WireError> {
+        let what = self.what;
+        let value = self.value.get(key).ok_or_else(|| {
+            WireError::Corrupt(format!("`{what}` needs {} `{key}` field", T::KIND))
+        })?;
+        T::from_json(value)
+            .map_err(|err| WireError::Corrupt(format!("`{what}` field `{key}`: {err}")))
     }
 
-    fn deserialize_from(reader: &mut impl Read) -> Result<Self, WireError> {
-        let mut buf = [0u8; 8];
-        reader.read_exact(&mut buf)?;
-        Ok(u64::from_le_bytes(buf))
-    }
-}
-
-impl WireSerde for i64 {
-    fn serialize_into(&self, out: &mut impl Write) -> Result<(), WireError> {
-        out.write_all(&self.to_le_bytes())?;
-        Ok(())
+    fn field_or<T: Decode>(
+        &mut self,
+        key: &str,
+        default: impl FnOnce() -> T,
+    ) -> Result<T, WireError> {
+        match self.value.get(key) {
+            None => Ok(default()),
+            Some(_) => self.field(key),
+        }
     }
 
-    fn deserialize_from(reader: &mut impl Read) -> Result<Self, WireError> {
-        let mut buf = [0u8; 8];
-        reader.read_exact(&mut buf)?;
-        Ok(i64::from_le_bytes(buf))
-    }
-}
-
-impl WireSerde for f64 {
-    fn serialize_into(&self, out: &mut impl Write) -> Result<(), WireError> {
-        // The bit pattern, not a decimal rendering: round-trips NaN payloads,
-        // infinities and signed zero exactly, with no parse on the way back.
-        self.to_bits().serialize_into(out)
-    }
-
-    fn deserialize_from(reader: &mut impl Read) -> Result<Self, WireError> {
-        Ok(f64::from_bits(u64::deserialize_from(reader)?))
+    fn tag(&mut self, json: impl FnOnce(&JsonValue) -> u8) -> Result<u8, WireError> {
+        Ok(json(self.value))
     }
 }
 
-impl WireSerde for bool {
-    fn serialize_into(&self, out: &mut impl Write) -> Result<(), WireError> {
-        u8::from(*self).serialize_into(out)
+/// Writes fields as binary values in order.
+pub struct BinWriter<'a, W>(pub &'a mut W);
+
+impl<W: Write> Writer for BinWriter<'_, W> {
+    const JSON: bool = false;
+
+    fn open(&mut self, head: impl Head) -> Result<(), WireError> {
+        head.tag().write(self.0)
     }
 
-    fn deserialize_from(reader: &mut impl Read) -> Result<Self, WireError> {
-        match u8::deserialize_from(reader)? {
+    fn field<T: Encode + ?Sized>(&mut self, _: &str, value: &T) -> Result<(), WireError> {
+        value.write(self.0)
+    }
+}
+
+/// Reads fields as binary values in order.
+pub struct BinReader<'a, R>(pub &'a mut R);
+
+impl<R: Read> Reader for BinReader<'_, R> {
+    fn field<T: Decode>(&mut self, _: &str) -> Result<T, WireError> {
+        T::read(self.0)
+    }
+
+    fn field_or<T: Decode>(&mut self, _: &str, _: impl FnOnce() -> T) -> Result<T, WireError> {
+        T::read(self.0)
+    }
+
+    fn tag(&mut self, _: impl FnOnce(&JsonValue) -> u8) -> Result<u8, WireError> {
+        u8::read(self.0)
+    }
+}
+
+/// Numbers: their JSON text, little-endian bytes in binary.  `{:?}` is the
+/// plain decimal for integers and the shortest text that parses back to the
+/// same `f64`; an `f64`'s little-endian bytes are its IEEE-754 bit pattern.
+macro_rules! numbers {
+    ($($ty:ty: $kind:literal),+) => {$(
+        impl Encode for $ty {
+            fn render(&self, out: &mut String) {
+                let _ = write!(out, "{self:?}");
+            }
+
+            fn write(&self, out: &mut impl Write) -> Result<(), WireError> {
+                out.write_all(&self.to_le_bytes())?;
+                Ok(())
+            }
+        }
+
+        impl Decode for $ty {
+            const KIND: &'static str = $kind;
+
+            fn from_json(value: &JsonValue) -> Result<Self, String> {
+                match value {
+                    JsonValue::Number(raw) => raw.parse().ok(),
+                    _ => None,
+                }
+                .ok_or_else(|| format!("expected {}", $kind))
+            }
+
+            fn read(reader: &mut impl Read) -> Result<Self, WireError> {
+                let mut bytes = [0u8; std::mem::size_of::<$ty>()];
+                reader.read_exact(&mut bytes)?;
+                Ok(<$ty>::from_le_bytes(bytes))
+            }
+        }
+    )+};
+}
+
+numbers!(u8: "a number", u64: "a number", i64: "an integer", f64: "a number");
+
+impl Encode for bool {
+    fn render(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
+    }
+
+    fn write(&self, out: &mut impl Write) -> Result<(), WireError> {
+        u8::from(*self).write(out)
+    }
+}
+
+impl Decode for bool {
+    const KIND: &'static str = "a boolean";
+
+    fn from_json(value: &JsonValue) -> Result<Self, String> {
+        value
+            .as_bool()
+            .ok_or_else(|| format!("expected {}", Self::KIND))
+    }
+
+    fn read(reader: &mut impl Read) -> Result<Self, WireError> {
+        match u8::read(reader)? {
             0 => Ok(false),
             1 => Ok(true),
             other => Err(WireError::Corrupt(format!("bad bool byte {other:#04x}"))),
@@ -173,12 +411,39 @@ impl WireSerde for bool {
     }
 }
 
-impl WireSerde for String {
-    fn serialize_into(&self, out: &mut impl Write) -> Result<(), WireError> {
-        write_str(out, self)
+impl Encode for str {
+    fn render(&self, out: &mut String) {
+        render_string(out, self);
     }
 
-    fn deserialize_from(reader: &mut impl Read) -> Result<Self, WireError> {
+    fn write(&self, out: &mut impl Write) -> Result<(), WireError> {
+        write_len(out, self.len(), MAX_TEXT_LEN, "string")?;
+        out.write_all(self.as_bytes())?;
+        Ok(())
+    }
+}
+
+impl Encode for String {
+    fn render(&self, out: &mut String) {
+        self.as_str().render(out);
+    }
+
+    fn write(&self, out: &mut impl Write) -> Result<(), WireError> {
+        self.as_str().write(out)
+    }
+}
+
+impl Decode for String {
+    const KIND: &'static str = "a string";
+
+    fn from_json(value: &JsonValue) -> Result<Self, String> {
+        value
+            .as_str()
+            .map(str::to_owned)
+            .ok_or_else(|| format!("expected {}", Self::KIND))
+    }
+
+    fn read(reader: &mut impl Read) -> Result<Self, WireError> {
         let len = read_len(reader, MAX_TEXT_LEN, "string")?;
         let mut bytes = vec![0u8; len];
         reader.read_exact(&mut bytes)?;
@@ -186,165 +451,363 @@ impl WireSerde for String {
     }
 }
 
-impl<T: WireSerde> WireSerde for Option<T> {
-    fn serialize_into(&self, out: &mut impl Write) -> Result<(), WireError> {
+/// `null` in JSON; a one-byte presence flag in binary.
+impl<T: Encode> Encode for Option<T> {
+    fn render(&self, out: &mut String) {
         match self {
-            None => 0u8.serialize_into(out),
-            Some(value) => {
-                1u8.serialize_into(out)?;
-                value.serialize_into(out)
-            }
+            Some(value) => value.render(out),
+            None => out.push_str("null"),
         }
     }
 
-    fn deserialize_from(reader: &mut impl Read) -> Result<Self, WireError> {
-        match u8::deserialize_from(reader)? {
+    fn write(&self, out: &mut impl Write) -> Result<(), WireError> {
+        self.is_some().write(out)?;
+        self.as_ref().map_or(Ok(()), |value| value.write(out))
+    }
+}
+
+impl<T: Decode> Decode for Option<T> {
+    const KIND: &'static str = T::KIND;
+
+    fn from_json(value: &JsonValue) -> Result<Self, String> {
+        match value {
+            JsonValue::Null => Ok(None),
+            other => T::from_json(other).map(Some),
+        }
+    }
+
+    fn read(reader: &mut impl Read) -> Result<Self, WireError> {
+        match u8::read(reader)? {
             0 => Ok(None),
-            1 => Ok(Some(T::deserialize_from(reader)?)),
+            1 => Ok(Some(T::read(reader)?)),
             other => Err(WireError::Corrupt(format!("bad option byte {other:#04x}"))),
         }
     }
 }
 
-impl<T: WireSerde> WireSerde for Vec<T> {
-    fn serialize_into(&self, out: &mut impl Write) -> Result<(), WireError> {
-        write_seq(out, self)
+impl<T: Encode> Encode for [T] {
+    fn render(&self, out: &mut String) {
+        out.push('[');
+        for (index, item) in self.iter().enumerate() {
+            if index > 0 {
+                out.push(',');
+            }
+            item.render(out);
+        }
+        out.push(']');
     }
 
-    fn deserialize_from(reader: &mut impl Read) -> Result<Self, WireError> {
+    fn write(&self, out: &mut impl Write) -> Result<(), WireError> {
+        write_len(out, self.len(), MAX_SEQ_LEN, "sequence")?;
+        self.iter().try_for_each(|item| item.write(out))
+    }
+}
+
+impl<T: Encode> Encode for Vec<T> {
+    fn render(&self, out: &mut String) {
+        self.as_slice().render(out);
+    }
+
+    fn write(&self, out: &mut impl Write) -> Result<(), WireError> {
+        self.as_slice().write(out)
+    }
+}
+
+impl<T: Decode> Decode for Vec<T> {
+    const KIND: &'static str = "an array";
+
+    fn from_json(value: &JsonValue) -> Result<Self, String> {
+        let items = value
+            .as_array()
+            .ok_or_else(|| format!("expected {}", Self::KIND))?;
+        check_len(items.len(), MAX_SEQ_LEN, "sequence")?;
+        items
+            .iter()
+            .enumerate()
+            .map(|(index, item)| T::from_json(item).map_err(|err| format!("entry {index}: {err}")))
+            .collect()
+    }
+
+    fn read(reader: &mut impl Read) -> Result<Self, WireError> {
         let count = read_len(reader, MAX_SEQ_LEN, "sequence")?;
-        // Conservative reservation: elements are at least one byte each, so a
-        // corrupt-but-under-cap count cannot reserve more than the cap.
+        // Elements are at least one byte each, so a corrupt-but-under-cap
+        // count cannot reserve more than the cap.
         let mut items = Vec::with_capacity(count.min(4096));
         for _ in 0..count {
-            items.push(T::deserialize_from(reader)?);
+            items.push(T::read(reader)?);
         }
         Ok(items)
     }
 }
 
-/// Writes a borrowed string — the allocation-free twin of the `String` impl,
-/// for callers encoding `&str` fields without cloning.
-///
-/// # Errors
-///
-/// Returns [`WireError::Io`] when the sink fails and [`WireError::Corrupt`]
-/// when the string exceeds [`MAX_TEXT_LEN`] (it could never be decoded).
-pub fn write_str(out: &mut impl Write, text: &str) -> Result<(), WireError> {
-    if text.len() > MAX_TEXT_LEN {
-        return Err(WireError::Corrupt(format!(
-            "string of {} bytes exceeds the {} byte cap",
-            text.len(),
-            MAX_TEXT_LEN
-        )));
-    }
-    write_seq_len(out, text.len())?;
-    out.write_all(text.as_bytes())?;
-    Ok(())
-}
-
-/// Writes a borrowed slice — the allocation-free twin of the `Vec<T>` impl,
-/// for callers encoding `&[T]` fields without cloning.
-///
-/// # Errors
-///
-/// As [`write_seq_len`] and the elements' own encoding.
-pub fn write_seq<T: WireSerde>(out: &mut impl Write, items: &[T]) -> Result<(), WireError> {
-    write_seq_len(out, items.len())?;
-    for item in items {
-        item.serialize_into(out)?;
-    }
-    Ok(())
-}
-
-/// Writes a `usize` length/count header as `u32` little-endian.
-///
-/// # Errors
-///
-/// Returns [`WireError::Corrupt`] when the value does not fit in `u32` and
-/// [`WireError::Io`] when the sink fails.
-pub fn write_seq_len(out: &mut impl Write, len: usize) -> Result<(), WireError> {
-    let len = u32::try_from(len)
-        .map_err(|_| WireError::Corrupt(format!("length {len} does not fit the u32 header")))?;
-    len.serialize_into(out)
-}
-
-/// Reads a `u32` length/count header, enforcing `cap` before any allocation.
-///
-/// # Errors
-///
-/// Returns [`WireError::Io`] when the source fails and [`WireError::Corrupt`]
-/// when the header exceeds `cap`.
-pub fn read_len(reader: &mut impl Read, cap: usize, what: &str) -> Result<usize, WireError> {
-    let len = u32::deserialize_from(reader)? as usize;
-    if len > cap {
-        return Err(WireError::Corrupt(format!(
-            "{what} length {len} exceeds the {cap} cap"
-        )));
-    }
-    Ok(len)
-}
-
-impl WireSerde for PointRecord {
-    fn serialize_into(&self, out: &mut impl Write) -> Result<(), WireError> {
-        self.key.serialize_into(out)?;
-        write_str(out, &self.canonical)?;
-        write_str(out, &self.kernel)?;
-        write_str(out, &self.algorithm)?;
-        write_str(out, &self.version)?;
-        self.budget.serialize_into(out)?;
-        self.ram_latency.serialize_into(out)?;
-        write_str(out, &self.device)?;
-        self.feasible.serialize_into(out)?;
-        self.fits.serialize_into(out)?;
-        self.registers_used.serialize_into(out)?;
-        self.total_cycles.serialize_into(out)?;
-        self.compute_cycles.serialize_into(out)?;
-        self.memory_cycles.serialize_into(out)?;
-        self.transfer_cycles.serialize_into(out)?;
-        self.clock_period_ns.serialize_into(out)?;
-        self.execution_time_us.serialize_into(out)?;
-        self.slices.serialize_into(out)?;
-        self.block_rams.serialize_into(out)?;
-        write_str(out, &self.distribution)
+/// Named values (span annotations, counters, gauges): a JSON object keyed
+/// by name, a sequence of name/value pairs in binary.
+impl<T: Encode> Encode for Vec<(String, T)> {
+    fn render(&self, out: &mut String) {
+        out.push('{');
+        for (index, (name, value)) in self.iter().enumerate() {
+            if index > 0 {
+                out.push(',');
+            }
+            render_string(out, name);
+            out.push(':');
+            value.render(out);
+        }
+        out.push('}');
     }
 
-    fn deserialize_from(reader: &mut impl Read) -> Result<Self, WireError> {
-        Ok(Self {
-            key: u64::deserialize_from(reader)?,
-            canonical: String::deserialize_from(reader)?,
-            kernel: String::deserialize_from(reader)?,
-            algorithm: String::deserialize_from(reader)?,
-            version: String::deserialize_from(reader)?,
-            budget: u64::deserialize_from(reader)?,
-            ram_latency: u64::deserialize_from(reader)?,
-            device: String::deserialize_from(reader)?,
-            feasible: bool::deserialize_from(reader)?,
-            fits: bool::deserialize_from(reader)?,
-            registers_used: u64::deserialize_from(reader)?,
-            total_cycles: u64::deserialize_from(reader)?,
-            compute_cycles: u64::deserialize_from(reader)?,
-            memory_cycles: u64::deserialize_from(reader)?,
-            transfer_cycles: u64::deserialize_from(reader)?,
-            clock_period_ns: f64::deserialize_from(reader)?,
-            execution_time_us: f64::deserialize_from(reader)?,
-            slices: u64::deserialize_from(reader)?,
-            block_rams: u64::deserialize_from(reader)?,
-            distribution: String::deserialize_from(reader)?,
+    fn write(&self, out: &mut impl Write) -> Result<(), WireError> {
+        write_len(out, self.len(), MAX_SEQ_LEN, "named values")?;
+        for (name, value) in self {
+            name.write(out)?;
+            value.write(out)?;
+        }
+        Ok(())
+    }
+}
+
+impl<T: Decode> Decode for Vec<(String, T)> {
+    const KIND: &'static str = "an object";
+
+    fn from_json(value: &JsonValue) -> Result<Self, String> {
+        let JsonValue::Object(entries) = value else {
+            return Err(format!("expected {}", Self::KIND));
+        };
+        check_len(entries.len(), MAX_SEQ_LEN, "named values")?;
+        entries
+            .iter()
+            .map(|(name, entry)| {
+                let value = T::from_json(entry).map_err(|err| format!("`{name}`: {err}"))?;
+                Ok((name.clone(), value))
+            })
+            .collect()
+    }
+
+    fn read(reader: &mut impl Read) -> Result<Self, WireError> {
+        let count = read_len(reader, MAX_SEQ_LEN, "named values")?;
+        let mut pairs = Vec::with_capacity(count.min(4096));
+        for _ in 0..count {
+            pairs.push((String::read(reader)?, T::read(reader)?));
+        }
+        Ok(pairs)
+    }
+}
+
+/// The `trace` reply's element shape (see `docs/observability.md`); JSON
+/// leaves out an empty annotation list.
+impl Fields for Span {
+    const NAME: &'static str = "span";
+
+    fn write_fields<W: Writer>(&self, w: &mut W) -> Result<(), WireError> {
+        w.field("trace", &self.trace_id)?;
+        w.field("span", &self.span_id)?;
+        w.field("parent", &self.parent_id)?;
+        w.field("name", &self.name)?;
+        w.field("start_us", &self.start_us)?;
+        w.field("dur_us", &self.dur_us)?;
+        w.field_if(
+            "annotations",
+            &self.annotations,
+            !self.annotations.is_empty(),
+        )
+    }
+
+    fn read_fields<R: Reader>(r: &mut R) -> Result<Self, WireError> {
+        Ok(Span {
+            trace_id: r.field("trace")?,
+            span_id: r.field("span")?,
+            parent_id: r.field("parent")?,
+            name: r.field("name")?,
+            start_us: r.field("start_us")?,
+            dur_us: r.field("dur_us")?,
+            annotations: r.field_or("annotations", Vec::new)?,
         })
     }
 }
 
+/// Implements [`Fields`](crate::codec::Fields) for a struct whose fields all
+/// travel as required members, in order: `field: "json key"`.
+#[macro_export]
+macro_rules! plain_fields {
+    ($($ty:ty, $name:literal { $($field:ident: $key:literal),+ };)+) => {$(
+        impl $crate::codec::Fields for $ty {
+            const NAME: &'static str = $name;
+
+            fn write_fields<W: $crate::codec::Writer>(
+                &self,
+                w: &mut W,
+            ) -> Result<(), $crate::codec::WireError> {
+                $(w.field($key, &self.$field)?;)+
+                Ok(())
+            }
+
+            fn read_fields<R: $crate::codec::Reader>(
+                r: &mut R,
+            ) -> Result<Self, $crate::codec::WireError> {
+                Ok(Self { $($field: r.field($key)?),+ })
+            }
+        }
+    )+};
+}
+
+plain_fields! {
+    SeriesSample, "series sample" { at_us: "at_us", metrics: "metrics" };
+    SnapshotDelta, "series delta" { from_us: "from_us", to_us: "to_us", diff: "metrics" };
+}
+
+/// A snapshot renders as the `metrics` JSON body; binary carries the
+/// counters and gauges as name/value pairs and each histogram's buckets with
+/// its exemplars as a sparse (bucket index, trace id) list.
+impl Encode for MetricsSnapshot {
+    fn render(&self, out: &mut String) {
+        self.render_json_into(out);
+    }
+
+    fn write(&self, out: &mut impl Write) -> Result<(), WireError> {
+        self.counters.write(out)?;
+        self.gauges.write(out)?;
+        write_len(out, self.histograms.len(), MAX_SEQ_LEN, "named values")?;
+        for (name, histogram) in &self.histograms {
+            name.write(out)?;
+            histogram.buckets().write(out)?;
+            let exemplars = histogram.exemplars().iter().enumerate();
+            let exemplars = exemplars.filter_map(|(index, id)| Some((index as u8, id.as_ref()?)));
+            write_len(out, exemplars.clone().count(), MAX_SEQ_LEN, "exemplars")?;
+            for (index, id) in exemplars {
+                index.write(out)?;
+                id.write(out)?;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Metric names are re-validated on the way in (they render unescaped on
+/// the way out).
+impl Decode for MetricsSnapshot {
+    const KIND: &'static str = "an object";
+
+    fn from_json(value: &JsonValue) -> Result<Self, String> {
+        read_snapshot(&mut JsonReader::new(value, "metrics")).map_err(WireError::into_message)
+    }
+
+    fn read(reader: &mut impl Read) -> Result<Self, WireError> {
+        read_snapshot(&mut BinReader(reader))
+    }
+}
+
+/// Reads a snapshot's three name-keyed instrument lists in either codec.
+fn read_snapshot<R: Reader>(r: &mut R) -> Result<MetricsSnapshot, WireError> {
+    let snapshot = MetricsSnapshot {
+        counters: r.field_or("counters", Vec::new)?,
+        gauges: r.field_or("gauges", Vec::new)?,
+        histograms: r
+            .field_or("histograms", Vec::new)?
+            .into_iter()
+            .map(|(name, Histogram(histogram))| (name, histogram))
+            .collect(),
+    };
+    let counters = snapshot.counters.iter().map(|(name, _)| name);
+    let gauges = snapshot.gauges.iter().map(|(name, _)| name);
+    let histograms = snapshot.histograms.iter().map(|(name, _)| name);
+    match counters
+        .chain(gauges)
+        .chain(histograms)
+        .find(|name| !valid_metric_name(name))
+    {
+        Some(name) => Err(WireError::Corrupt(format!("illegal metric name {name:?}"))),
+        None => Ok(snapshot),
+    }
+}
+
+/// One decoded histogram: in JSON its `buckets` array and its `exemplars`
+/// object (bucket upper bound `(1 << index) - 1` to trace id), in binary
+/// its buckets and a sparse (bucket index, trace id) list.  A bucket array
+/// may be shorter than the local bucket count — a trailing-zero-trimmed or
+/// older peer's array zero-pads — and exemplars of unknown buckets are
+/// ignored, so newer peers with more buckets still parse.
+struct Histogram(HistogramSnapshot);
+
+impl Decode for Histogram {
+    const KIND: &'static str = "an object";
+
+    fn from_json(value: &JsonValue) -> Result<Self, String> {
+        let mut r = JsonReader::new(value, "histogram");
+        let buckets = r.field("buckets").map_err(WireError::into_message)?;
+        let mut histogram = histogram_of(buckets)?;
+        let exemplars: Vec<(String, String)> = r
+            .field_or("exemplars", Vec::new)
+            .map_err(WireError::into_message)?;
+        for (le, id) in exemplars {
+            let bound = le
+                .parse::<u64>()
+                .map_err(|_| format!("exemplar key `{le}` is not a bucket bound"))?;
+            if let Some(index) = (0..LATENCY_BUCKETS).find(|i| (1u64 << i).wrapping_sub(1) == bound)
+            {
+                histogram.set_exemplar(index, id);
+            }
+        }
+        Ok(Self(histogram))
+    }
+
+    fn read(reader: &mut impl Read) -> Result<Self, WireError> {
+        let mut histogram = histogram_of(Vec::read(reader)?).map_err(WireError::Corrupt)?;
+        for _ in 0..read_len(reader, MAX_SEQ_LEN, "exemplars")? {
+            let index = u8::read(reader)?;
+            histogram.set_exemplar(usize::from(index), String::read(reader)?);
+        }
+        Ok(Self(histogram))
+    }
+}
+
+/// A histogram from its bucket counts, of which there may be at most
+/// [`LATENCY_BUCKETS`].
+fn histogram_of(buckets: Vec<u64>) -> Result<HistogramSnapshot, String> {
+    HistogramSnapshot::from_buckets(&buckets)
+        .ok_or_else(|| format!("{} buckets are more than {LATENCY_BUCKETS}", buckets.len()))
+}
+
+/// The length rule both codecs share: `len` may not exceed `cap`.
+#[inline]
+fn check_len(len: usize, cap: usize, what: &str) -> Result<usize, String> {
+    if len > cap {
+        return Err(over_cap(len, cap, what));
+    }
+    Ok(len)
+}
+
+/// Out of line, so that the length checks inlined into every string and
+/// sequence read stay small.
+#[cold]
+fn over_cap(len: usize, cap: usize, what: &str) -> String {
+    format!("{what} length {len} exceeds the {cap} cap")
+}
+
+/// Writes a `u32` length/count header, refusing a `len` over `cap` (the
+/// decoder's [`read_len`] would reject it).  Both caps fit in a `u32`.
+fn write_len(out: &mut impl Write, len: usize, cap: usize, what: &str) -> Result<(), WireError> {
+    let len = check_len(len, cap, what).map_err(WireError::Corrupt)?;
+    out.write_all(&(len as u32).to_le_bytes())?;
+    Ok(())
+}
+
+/// Reads a `u32` length/count header, enforcing `cap` before any allocation.
+fn read_len(reader: &mut impl Read, cap: usize, what: &str) -> Result<usize, WireError> {
+    let mut bytes = [0u8; 4];
+    reader.read_exact(&mut bytes)?;
+    check_len(u32::from_le_bytes(bytes) as usize, cap, what).map_err(WireError::Corrupt)
+}
+
 /// Encodes one value to a fresh byte vector — convenience for tests and
-/// one-shot callers; hot paths serialize into a reused buffer instead.
+/// one-shot callers; hot paths write into a reused buffer instead.
 ///
 /// # Errors
 ///
-/// Propagates [`WireError::Corrupt`] from over-cap strings; writing to a
-/// `Vec` cannot fail.
-pub fn to_bytes<T: WireSerde>(value: &T) -> Result<Vec<u8>, WireError> {
+/// Propagates [`WireError::Corrupt`] from over-cap strings and sequences;
+/// writing to a `Vec` cannot fail.
+pub fn to_bytes<T: Encode + ?Sized>(value: &T) -> Result<Vec<u8>, WireError> {
     let mut out = Vec::with_capacity(128);
-    value.serialize_into(&mut out)?;
+    value.write(&mut out)?;
     Ok(out)
 }
 
@@ -354,8 +817,8 @@ pub fn to_bytes<T: WireSerde>(value: &T) -> Result<Vec<u8>, WireError> {
 ///
 /// Returns [`WireError::Io`] on truncation, [`WireError::Corrupt`] on bad
 /// bytes or trailing garbage.
-pub fn from_bytes<T: WireSerde>(mut bytes: &[u8]) -> Result<T, WireError> {
-    let value = T::deserialize_from(&mut bytes)?;
+pub fn from_bytes<T: Decode>(mut bytes: &[u8]) -> Result<T, WireError> {
+    let value = T::read(&mut bytes)?;
     if !bytes.is_empty() {
         return Err(WireError::Corrupt(format!(
             "{} trailing bytes after the value",
@@ -368,6 +831,7 @@ pub fn from_bytes<T: WireSerde>(mut bytes: &[u8]) -> Result<T, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PointRecord;
 
     fn sample_record() -> PointRecord {
         PointRecord {
@@ -394,10 +858,15 @@ mod tests {
         }
     }
 
-    fn round_trip<T: WireSerde + PartialEq + std::fmt::Debug>(value: &T) {
+    /// Round-trips `value` through both codecs.
+    fn round_trip<T: Encode + Decode + PartialEq + std::fmt::Debug>(value: &T) {
         let bytes = to_bytes(value).expect("encodes");
         let back: T = from_bytes(&bytes).expect("decodes");
         assert_eq!(&back, value);
+        let mut json = String::new();
+        value.render(&mut json);
+        let parsed = JsonValue::parse(&json).expect("renders valid JSON");
+        assert_eq!(&T::from_json(&parsed).expect("parses"), value, "{json}");
     }
 
     #[test]
@@ -405,10 +874,7 @@ mod tests {
         for value in [0u8, 1, 0x7f, 0xff] {
             round_trip(&value);
         }
-        for value in [0u32, 1, u32::MAX] {
-            round_trip(&value);
-        }
-        for value in [0u64, 1, u64::MAX] {
+        for value in [0u64, 1, u64::from(u32::MAX), u64::MAX] {
             round_trip(&value);
         }
         for value in [i64::MIN, -1, 0, i64::MAX] {
@@ -420,6 +886,7 @@ mod tests {
         round_trip(&Option::<u64>::None);
         round_trip(&vec![1u64, 2, 3]);
         round_trip(&Vec::<u64>::new());
+        round_trip(&vec![("a".to_owned(), 1i64), ("b \"c\"".to_owned(), -1)]);
     }
 
     #[test]
@@ -443,6 +910,12 @@ mod tests {
             let bytes = to_bytes(&value).unwrap();
             let back: f64 = from_bytes(&bytes).unwrap();
             assert_eq!(back.to_bits(), value.to_bits(), "{value}");
+            if value.is_finite() {
+                let mut json = String::new();
+                value.render(&mut json);
+                let back = f64::from_json(&JsonValue::parse(&json).unwrap()).unwrap();
+                assert_eq!(back.to_bits(), value.to_bits(), "{json}");
+            }
         }
     }
 
@@ -511,26 +984,21 @@ mod tests {
     #[test]
     fn corrupt_headers_are_rejected_before_allocation() {
         // A string length header claiming 4 GiB.
-        let mut bytes = Vec::new();
-        u32::MAX.serialize_into(&mut bytes).unwrap();
+        let bytes = u32::MAX.to_le_bytes();
         assert!(matches!(
             from_bytes::<String>(&bytes),
             Err(WireError::Corrupt(_))
         ));
 
         // A sequence count over the cap.
-        let mut bytes = Vec::new();
-        ((MAX_SEQ_LEN + 1) as u32)
-            .serialize_into(&mut bytes)
-            .unwrap();
+        let bytes = (MAX_SEQ_LEN as u32 + 1).to_le_bytes();
         assert!(matches!(
             from_bytes::<Vec<u64>>(&bytes),
             Err(WireError::Corrupt(_))
         ));
 
         // Invalid UTF-8 payload.
-        let mut bytes = Vec::new();
-        2u32.serialize_into(&mut bytes).unwrap();
+        let mut bytes = 2u32.to_le_bytes().to_vec();
         bytes.extend_from_slice(&[0xff, 0xfe]);
         assert!(matches!(
             from_bytes::<String>(&bytes),
@@ -546,6 +1014,28 @@ mod tests {
             from_bytes::<Option<u8>>(&[9]),
             Err(WireError::Corrupt(_))
         ));
+    }
+
+    #[test]
+    fn both_codecs_refuse_sequences_over_the_cap() {
+        let cap = format!("length {} exceeds the {MAX_SEQ_LEN} cap", MAX_SEQ_LEN + 1);
+        let over = vec![0u8; MAX_SEQ_LEN + 1];
+        match to_bytes(&over) {
+            Err(WireError::Corrupt(message)) => assert!(message.ends_with(&cap), "{message}"),
+            other => panic!("encoded an over-cap sequence: {other:?}"),
+        }
+        // At the cap both directions still work.
+        let bytes = to_bytes(&over[..MAX_SEQ_LEN]).unwrap();
+        assert_eq!(from_bytes::<Vec<u8>>(&bytes).unwrap().len(), MAX_SEQ_LEN);
+
+        // The JSON decoders apply the same cap to arrays and named values.
+        let array = JsonValue::Array(vec![JsonValue::Null; MAX_SEQ_LEN + 1]);
+        let message = Vec::<Option<u8>>::from_json(&array).unwrap_err();
+        assert!(message.ends_with(&cap), "{message}");
+        let named = (0..=MAX_SEQ_LEN).map(|i| (i.to_string(), JsonValue::Null));
+        let object = JsonValue::Object(named.collect());
+        let message = Vec::<(String, Option<u8>)>::from_json(&object).unwrap_err();
+        assert!(message.ends_with(&cap), "{message}");
     }
 
     #[test]

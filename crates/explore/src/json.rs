@@ -4,10 +4,9 @@
 //! The workspace's `serde` is an offline no-op shim, so this small recursive
 //! value type stands in for it.  Numbers are kept as their raw source text:
 //! the parser never converts to `f64` and back, so re-rendering a parsed
-//! value reproduces the original digits exactly, and
-//! [`PointRecord::from_json_value`](crate::PointRecord::from_json_value)
-//! reads the f64 fields of a record embedded in a larger document
-//! bit-exactly.
+//! value reproduces the original digits exactly, and the JSON half of
+//! [`crate::codec`] reads the f64 fields of a record, standalone or
+//! embedded in a larger document, bit-exactly.
 
 use std::fmt::Write as _;
 

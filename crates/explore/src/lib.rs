@@ -18,9 +18,11 @@
 //! evaluated in parallel by a work-stealing thread pool and deduplicated
 //! through a content-addressed [`ResultStore`] (FNV-hashed design-point keys)
 //! with an in-memory ([`MemoryStore`]) and one persistent backend: the
-//! fixed-header binary segment file ([`SegmentStore`]), which encodes records
-//! through the [`WireSerde`] trait ([`codec`]), the same length-prefixed
-//! serialisation the serve layer's binary wire codec uses.  JSON-lines caches
+//! fixed-header binary segment file ([`SegmentStore`]).  [`codec`] is the
+//! workspace's one codec: a record's JSON line, its segment payload and its
+//! encodings in both of the serve layer's wire codecs all come from its one
+//! [`codec::Fields`] impl, and the serve layer builds its requests and
+//! replies on the same field layer.  JSON-lines caches
 //! written by earlier versions are copied in, read-only, by [`import_jsonl`].
 //! On top of the raw records it extracts multi-objective Pareto
 //! frontiers (total cycles × slices × registers) and per-kernel best-allocator
@@ -56,7 +58,7 @@ mod segment;
 mod space;
 mod store;
 
-pub use codec::{WireError, WireSerde};
+pub use codec::WireError;
 pub use engine::{evaluate_point, evaluate_point_timed, Exploration, Explorer, StageTimings};
 pub use json::{render_string, JsonValue};
 pub use pareto::{best_allocators, dominates, pareto_frontier, BestAllocator};

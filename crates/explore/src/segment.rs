@@ -1,7 +1,7 @@
 //! Fixed-header binary segment files: the one persistent store format,
 //! whose re-hydration is a sequential scan, not a parse.
 //!
-//! A segment file holds [`PointRecord`]s in the [`crate::codec`] binary
+//! A segment file holds [`PointRecord`]s in their [`crate::codec`] binary
 //! encoding behind a fixed per-record header:
 //!
 //! ```text
@@ -12,10 +12,11 @@
 //!
 //! `len` is the payload byte count, `key` duplicates the record's FNV-1a
 //! key so the startup scan can build the key index without decoding a
-//! record it only needs to route, and `payload` is the record's
-//! [`WireSerde`](crate::codec::WireSerde) encoding (whose own first field is
-//! the key — the scan verifies the two agree, so a misaligned or corrupt
-//! record cannot be silently indexed under the wrong key).
+//! record it only needs to route, and `payload` is the binary encoding of
+//! the record's [`Fields`](crate::codec::Fields) impl, the same bytes a
+//! binary wire reply carries (its first field is the key — the scan
+//! verifies the two agree, so a misaligned or corrupt record cannot be
+//! silently indexed under the wrong key).
 //!
 //! Crash contract: appends write one header+payload and flush, so a killed
 //! process loses at most the record being written.  On open, everything
@@ -33,7 +34,7 @@ use std::io::{BufWriter, Write};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
-use crate::codec::{from_bytes, WireSerde};
+use crate::codec::{from_bytes, Encode};
 use crate::store::{index_get, index_insert, KeyIndex, PointRecord, StoreError};
 use crate::store::{ResultStore, StoreBase};
 
@@ -185,7 +186,7 @@ impl ResultStore for SegmentStore {
         }
         self.scratch.clear();
         record
-            .serialize_into(&mut self.scratch)
+            .write(&mut self.scratch)
             .map_err(|err| StoreError::Corrupt(format!("record does not encode: {err}")))?;
         let len = u32::try_from(self.scratch.len()).map_err(|_| {
             StoreError::Corrupt(format!(

@@ -1,6 +1,8 @@
-//! Content-addressed result stores: the record type, the store traits, an
-//! in-memory map, and a read-only importer for JSON-lines caches written by
-//! earlier versions.  The persistent backend is [`crate::SegmentStore`].
+//! Content-addressed result stores: the record type and its one codec shape
+//! (a [`Fields`] impl that gives its JSON line and its binary payload), the
+//! store traits, an in-memory map, and a read-only importer for JSON-lines
+//! caches written by earlier versions.  The persistent backend is
+//! [`crate::SegmentStore`].
 //!
 //! The layering follows the `StorageBase` / `Storage` split common in embedded
 //! storage APIs: [`StoreBase`] carries the error type and the cheap queries,
@@ -15,7 +17,8 @@ use std::convert::Infallible;
 use std::fmt::Write as _;
 use std::path::Path;
 
-use crate::json::{render_string, JsonValue};
+use crate::codec::{Decode, Encode, Fields, Reader, WireError, Writer};
+use crate::json::JsonValue;
 
 /// The persisted outcome of evaluating one design point.
 ///
@@ -68,10 +71,9 @@ pub struct PointRecord {
 }
 
 impl PointRecord {
-    /// Encodes the record as one line of JSON (no trailing newline).
-    ///
-    /// The encoding is hand-rolled (the workspace's `serde` is an offline no-op
-    /// shim) and fixed-order, so identical records encode to identical bytes.
+    /// Encodes the record as one line of JSON (no trailing newline): its
+    /// [`Fields`] in declaration order, so identical records encode to
+    /// identical bytes.
     pub fn to_json_line(&self) -> String {
         let mut out = String::with_capacity(256);
         self.write_json_line(&mut out);
@@ -82,117 +84,104 @@ impl PointRecord {
     /// the allocation-free twin of [`PointRecord::to_json_line`] for callers
     /// embedding records into a reused buffer.
     pub fn write_json_line(&self, out: &mut String) {
-        out.push('{');
-        let _ = write!(out, "\"key\":\"{:#018x}\"", self.key);
-        for (name, value) in [
-            ("canonical", &self.canonical),
-            ("kernel", &self.kernel),
-            ("algorithm", &self.algorithm),
-            ("version", &self.version),
-        ] {
-            let _ = write!(out, ",\"{name}\":");
-            render_string(out, value);
-        }
-        let _ = write!(out, ",\"budget\":{}", self.budget);
-        let _ = write!(out, ",\"ram_latency\":{}", self.ram_latency);
-        out.push_str(",\"device\":");
-        render_string(out, &self.device);
-        let _ = write!(out, ",\"feasible\":{}", self.feasible);
-        let _ = write!(out, ",\"fits\":{}", self.fits);
-        let _ = write!(out, ",\"registers_used\":{}", self.registers_used);
-        let _ = write!(out, ",\"total_cycles\":{}", self.total_cycles);
-        let _ = write!(out, ",\"compute_cycles\":{}", self.compute_cycles);
-        let _ = write!(out, ",\"memory_cycles\":{}", self.memory_cycles);
-        let _ = write!(out, ",\"transfer_cycles\":{}", self.transfer_cycles);
-        // `{:?}` prints the shortest representation that round-trips exactly,
-        // so parse(encode(x)) == x bit-for-bit.
-        let _ = write!(out, ",\"clock_period_ns\":{:?}", self.clock_period_ns);
-        let _ = write!(out, ",\"execution_time_us\":{:?}", self.execution_time_us);
-        let _ = write!(out, ",\"slices\":{}", self.slices);
-        let _ = write!(out, ",\"block_rams\":{}", self.block_rams);
-        out.push_str(",\"distribution\":");
-        render_string(out, &self.distribution);
-        out.push('}');
+        self.render(out);
     }
 
     /// Decodes a record from one JSON line produced by
-    /// [`PointRecord::to_json_line`].
+    /// [`PointRecord::to_json_line`].  Numbers keep their source text, so the
+    /// f64 fields come back bit-exactly.
     ///
     /// # Errors
     ///
     /// Returns a description of the first syntax problem or missing field.
     pub fn from_json_line(line: &str) -> Result<Self, String> {
-        Self::from_json_value(&JsonValue::parse(line)?)
+        Self::from_json(&JsonValue::parse(line)?)
+    }
+}
+
+/// A record's one shape, for its JSON line, both wire codecs and the
+/// segment file payload.  `f64`s render as their shortest round-tripping
+/// text in JSON and their bit pattern in binary.
+impl Fields for PointRecord {
+    const NAME: &'static str = "record";
+
+    fn write_fields<W: Writer>(&self, w: &mut W) -> Result<(), WireError> {
+        w.field("key", &HexKey(self.key))?;
+        w.field("canonical", &self.canonical)?;
+        w.field("kernel", &self.kernel)?;
+        w.field("algorithm", &self.algorithm)?;
+        w.field("version", &self.version)?;
+        w.field("budget", &self.budget)?;
+        w.field("ram_latency", &self.ram_latency)?;
+        w.field("device", &self.device)?;
+        w.field("feasible", &self.feasible)?;
+        w.field("fits", &self.fits)?;
+        w.field("registers_used", &self.registers_used)?;
+        w.field("total_cycles", &self.total_cycles)?;
+        w.field("compute_cycles", &self.compute_cycles)?;
+        w.field("memory_cycles", &self.memory_cycles)?;
+        w.field("transfer_cycles", &self.transfer_cycles)?;
+        w.field("clock_period_ns", &self.clock_period_ns)?;
+        w.field("execution_time_us", &self.execution_time_us)?;
+        w.field("slices", &self.slices)?;
+        w.field("block_rams", &self.block_rams)?;
+        w.field("distribution", &self.distribution)
     }
 
-    /// Decodes a record from an already parsed JSON object — the shape
-    /// [`PointRecord::to_json_line`] emits, standalone or embedded in a
-    /// larger document such as a serve reply.  Numbers keep their source
-    /// text, so the f64 fields come back bit-exactly.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first missing or mistyped field.
-    pub fn from_json_value(value: &JsonValue) -> Result<Self, String> {
-        let field = |name: &str| {
-            value
-                .get(name)
-                .ok_or_else(|| format!("missing field `{name}`"))
-        };
-        let text = |name: &str| -> Result<String, String> {
-            field(name)?
-                .as_str()
-                .map(str::to_owned)
-                .ok_or_else(|| format!("field `{name}` is not a string"))
-        };
-        let boolean = |name: &str| -> Result<bool, String> {
-            field(name)?
-                .as_bool()
-                .ok_or_else(|| format!("field `{name}` is not a boolean"))
-        };
-        let raw_number = |name: &str| -> Result<&str, String> {
-            match field(name)? {
-                JsonValue::Number(raw) => Ok(raw),
-                _ => Err(format!("field `{name}` is not a number")),
-            }
-        };
-        let num = |name: &str| -> Result<u64, String> {
-            raw_number(name)?
-                .parse()
-                .map_err(|e| format!("field `{name}`: {e}"))
-        };
-        let float = |name: &str| -> Result<f64, String> {
-            raw_number(name)?
-                .parse()
-                .map_err(|e| format!("field `{name}`: {e}"))
-        };
-        let key_text = text("key")?;
-        let key_digits = key_text
-            .strip_prefix("0x")
-            .ok_or_else(|| format!("field `key`: expected 0x prefix, got `{key_text}`"))?;
-        let key = u64::from_str_radix(key_digits, 16).map_err(|e| format!("field `key`: {e}"))?;
+    fn read_fields<R: Reader>(r: &mut R) -> Result<Self, WireError> {
         Ok(Self {
-            key,
-            canonical: text("canonical")?,
-            kernel: text("kernel")?,
-            algorithm: text("algorithm")?,
-            version: text("version")?,
-            budget: num("budget")?,
-            ram_latency: num("ram_latency")?,
-            device: text("device")?,
-            feasible: boolean("feasible")?,
-            fits: boolean("fits")?,
-            registers_used: num("registers_used")?,
-            total_cycles: num("total_cycles")?,
-            compute_cycles: num("compute_cycles")?,
-            memory_cycles: num("memory_cycles")?,
-            transfer_cycles: num("transfer_cycles")?,
-            clock_period_ns: float("clock_period_ns")?,
-            execution_time_us: float("execution_time_us")?,
-            slices: num("slices")?,
-            block_rams: num("block_rams")?,
-            distribution: text("distribution")?,
+            key: r.field::<HexKey>("key")?.0,
+            canonical: r.field("canonical")?,
+            kernel: r.field("kernel")?,
+            algorithm: r.field("algorithm")?,
+            version: r.field("version")?,
+            budget: r.field("budget")?,
+            ram_latency: r.field("ram_latency")?,
+            device: r.field("device")?,
+            feasible: r.field("feasible")?,
+            fits: r.field("fits")?,
+            registers_used: r.field("registers_used")?,
+            total_cycles: r.field("total_cycles")?,
+            compute_cycles: r.field("compute_cycles")?,
+            memory_cycles: r.field("memory_cycles")?,
+            transfer_cycles: r.field("transfer_cycles")?,
+            clock_period_ns: r.field("clock_period_ns")?,
+            execution_time_us: r.field("execution_time_us")?,
+            slices: r.field("slices")?,
+            block_rams: r.field("block_rams")?,
+            distribution: r.field("distribution")?,
         })
+    }
+}
+
+/// The record key: a `"0x%016x"` string in JSON, a plain `u64` in binary.
+struct HexKey(u64);
+
+impl Encode for HexKey {
+    fn render(&self, out: &mut String) {
+        let _ = write!(out, "\"{:#018x}\"", self.0);
+    }
+
+    fn write(&self, out: &mut impl std::io::Write) -> Result<(), WireError> {
+        self.0.write(out)
+    }
+}
+
+impl Decode for HexKey {
+    const KIND: &'static str = "a string";
+
+    fn from_json(value: &JsonValue) -> Result<Self, String> {
+        let text = value.as_str().ok_or("expected a string")?;
+        let digits = text
+            .strip_prefix("0x")
+            .ok_or_else(|| format!("expected 0x prefix, got `{text}`"))?;
+        u64::from_str_radix(digits, 16)
+            .map(Self)
+            .map_err(|err| err.to_string())
+    }
+
+    fn read(reader: &mut impl std::io::Read) -> Result<Self, WireError> {
+        u64::read(reader).map(Self)
     }
 }
 

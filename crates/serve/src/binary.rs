@@ -24,9 +24,10 @@
 //!   `"trace"` member; `trace_len` 0 means untraced.
 //! * `body` is the request or response: a one-byte tag from the op table
 //!   (`OPS` / `REPLIES` in `protocol`) followed by the variant's fields in
-//!   the order `Request::encode` / `Response::encode` list them, built from
-//!   the primitives in [`srra_explore::codec`].  The JSON codec runs the
-//!   same encode and decode arms, so the two codecs carry the same fields.
+//!   the order `Request::encode` / `Response::encode` list them, each in
+//!   its binary encoding from [`srra_explore::codec`].  The JSON codec runs
+//!   the same encode and decode arms, so the two codecs carry the same
+//!   fields.
 //!
 //! A payload that fails to decode is answered with a [`Response::Error`]
 //! frame and the connection *stays open* — the frame boundary was already
@@ -35,7 +36,7 @@
 
 use std::io::Read;
 
-use srra_explore::codec::{WireError, WireSerde};
+use srra_explore::codec::{Decode, Encode, WireError};
 
 use crate::protocol::{valid_trace_id, Request, Response};
 
@@ -154,7 +155,7 @@ pub fn encode_request_frame(
     trace: Option<&str>,
     request: &Request,
 ) -> Result<(), WireError> {
-    frame_into(out, trace, |buf| request.serialize_into(buf))
+    frame_into(out, trace, |buf| request.write(buf))
 }
 
 /// Appends one response frame to `out` (not cleared).
@@ -167,7 +168,7 @@ pub fn encode_response_frame(
     trace: Option<&str>,
     response: &Response,
 ) -> Result<(), WireError> {
-    frame_into(out, trace, |buf| response.serialize_into(buf))
+    frame_into(out, trace, |buf| response.write(buf))
 }
 
 /// Decodes a frame payload (trace prefix + tagged body), requiring every
@@ -177,9 +178,9 @@ pub fn encode_response_frame(
 ///
 /// [`WireError::Io`] on truncation inside the payload, [`WireError::Corrupt`]
 /// on bad bytes, an illegal trace id, or trailing garbage.
-pub fn decode_payload<T: WireSerde>(payload: &[u8]) -> Result<(T, Option<String>), WireError> {
+pub fn decode_payload<T: Decode>(payload: &[u8]) -> Result<(T, Option<String>), WireError> {
     let mut reader = payload;
-    let trace_len = u8::deserialize_from(&mut reader)? as usize;
+    let trace_len = u8::read(&mut reader)? as usize;
     let trace = if trace_len == 0 {
         None
     } else {
@@ -194,7 +195,7 @@ pub fn decode_payload<T: WireSerde>(payload: &[u8]) -> Result<(T, Option<String>
         reader = &reader[trace_len..];
         Some(id.to_owned())
     };
-    let value = T::deserialize_from(&mut reader)?;
+    let value = T::read(&mut reader)?;
     if !reader.is_empty() {
         return Err(WireError::Corrupt(format!(
             "{} trailing bytes after the frame body",
@@ -236,11 +237,11 @@ pub(crate) fn holds_complete_request(buffer: &[u8]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fields::{BinWriter, Head};
     use crate::protocol::{
         write_get, write_mget, write_points, write_put, Op, OpStats, PointOutcome, QueryPoint,
         ServerStats, ShardDigest,
     };
+    use srra_explore::codec::{BinWriter, Head};
     use srra_explore::PointRecord;
     use srra_obs::{MetricsSnapshot, Registry, SeriesSample, SnapshotDelta, Span};
 
@@ -476,7 +477,7 @@ mod tests {
         encode: impl Fn(&mut Vec<u8>, Option<&str>, &T) -> Result<(), WireError>,
     ) -> (T, Option<String>)
     where
-        T: WireSerde,
+        T: Decode,
     {
         let mut wire = Vec::new();
         encode(&mut wire, trace, value).expect("encodes");

@@ -28,12 +28,11 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-use srra_explore::codec::WireError;
+use srra_explore::codec::{BinWriter, JsonWriter, WireError};
 use srra_explore::PointRecord;
 use srra_obs::{Counter, MetricsSnapshot, Registry, SeriesSample, SnapshotDelta, Span};
 
 use crate::binary::{decode_payload, frame_into, read_frame, FrameError};
-use crate::fields::{BinWriter, JsonWriter};
 use crate::protocol::{
     stamp_trace, trace_suffix, valid_trace_id, write_get, write_mget, write_points, write_put, Op,
     PointOutcome, QueryPoint, Request, Response, ServerStats, ShardDigest,

@@ -48,8 +48,8 @@
 //! The wire protocol is specified in `docs/serving.md`; [`Request`] /
 //! [`Response`] are its single shape definition.  The `protocol` module's
 //! op table and per-variant encode/decode arms serve both codecs: JSON
-//! lines (over the workspace's one JSON parser, [`JsonValue`]) and the
-//! binary frames of `binary` (over [`srra_explore::codec`]).
+//! lines and the binary frames of `binary`, both written through the
+//! workspace's one codec, [`srra_explore::codec`].
 //! [`Connection`] is the client: keep-alive, pipelining, one typed method
 //! per op ([`Connection::connect_binary`] for the binary codec).  [`Client`]
 //! is an address handle that opens connections and sends the one-shot
@@ -84,7 +84,6 @@
 
 mod binary;
 mod client;
-mod fields;
 mod protocol;
 mod server;
 mod shard;

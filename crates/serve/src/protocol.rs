@@ -1,5 +1,5 @@
 //! The wire protocol spoken between `srra serve` and its clients: the
-//! [`Request`] / [`Response`] shapes, the op table, and the JSON line codec.
+//! [`Request`] / [`Response`] shapes and the op table.
 //!
 //! Every request and every response is exactly one JSON object on one line
 //! (`\n`-terminated), or one binary frame (see `binary`).  A connection may
@@ -16,27 +16,24 @@
 //! read them back through a [`Reader`].  Both codecs run these same arms, and
 //! both decoders finish with [`Request::check`], so the codecs cannot drift
 //! apart.  Adding an op takes one [`OPS`] row, one encode arm, one decode arm
-//! and one server handler.
+//! and one server handler.  The writer/reader pairs and every field value's
+//! two encodings live in [`srra_explore::codec`]; this module adds only the
+//! serve-owned shapes' [`Encode`] / [`Decode`] / [`Fields`] impls.
 //!
 //! All render methods come in a pair: `render` (fresh `String`) and
 //! `render_into` (append to a caller-owned buffer), so the server and the
 //! keep-alive client can reuse one scratch allocation across requests.
 //! Embedded [`PointRecord`]s are written straight into the output buffer as
-//! their raw JSONL lines — no intermediate [`JsonValue`] tree.
+//! their JSON lines — no intermediate [`JsonValue`] tree.
 
 use std::io::{Read, Write};
 
-use srra_explore::codec::{read_len, write_seq_len, write_str, WireError, WireSerde, MAX_SEQ_LEN};
-use srra_explore::{render_string, JsonValue, PointRecord};
-use srra_obs::{
-    valid_metric_name, HistogramSnapshot, MetricsSnapshot, SeriesSample, SnapshotDelta, Span,
-    LATENCY_BUCKETS,
-};
-
-use crate::fields::{
-    message, BinReader, BinWriter, Decode, Encode, Fields, Head, JsonReader, JsonWriter, Reader,
+use srra_explore::codec::{
+    BinReader, BinWriter, Decode, Encode, Fields, Head, JsonReader, JsonWriter, Reader, WireError,
     Writer,
 };
+use srra_explore::{render_string, JsonValue, PointRecord};
+use srra_obs::{MetricsSnapshot, SeriesSample, SnapshotDelta, Span};
 
 /// Longest accepted `trace` id, in bytes.
 pub const TRACE_MAX_LEN: usize = 64;
@@ -562,7 +559,7 @@ impl Request {
     /// Encodes the request into `out` (no trailing newline), reusing the
     /// buffer's allocation.
     pub fn render_into(&self, out: &mut String) {
-        JsonWriter::object(out, |w| self.encode(w));
+        Encode::render(self, out);
     }
 
     /// Decodes one request line.
@@ -573,15 +570,7 @@ impl Request {
     /// unknown op, missing fields, a broken semantic rule such as an empty
     /// batch).
     pub fn parse(line: &str) -> Result<Self, String> {
-        let value = JsonValue::parse(line)?;
-        let name = value
-            .get("op")
-            .and_then(JsonValue::as_str)
-            .ok_or("request needs a string `op` field")?;
-        let op = Op::by_name(name).ok_or_else(|| format!("unknown op `{name}`"))?;
-        let request = Self::decode(op, &mut JsonReader::new(&value, name)).map_err(message)?;
-        request.check()?;
-        Ok(request)
+        Self::from_json(&JsonValue::parse(line)?)
     }
 
     /// Decodes one request line together with its optional `trace` id.
@@ -599,13 +588,34 @@ impl Request {
     }
 }
 
-impl WireSerde for Request {
-    fn serialize_into(&self, out: &mut impl Write) -> Result<(), WireError> {
-        self.encode(&mut BinWriter(out))
+impl Encode for Request {
+    fn render(&self, out: &mut String) {
+        JsonWriter::object(out, |w| self.encode(w));
     }
 
-    fn deserialize_from(reader: &mut impl Read) -> Result<Self, WireError> {
-        let tag = u8::deserialize_from(reader)?;
+    fn write(&self, out: &mut impl Write) -> Result<(), WireError> {
+        self.encode(&mut BinWriter(out))
+    }
+}
+
+/// Both decoders finish with `Request::check`.
+impl Decode for Request {
+    const KIND: &'static str = "an object";
+
+    fn from_json(value: &JsonValue) -> Result<Self, String> {
+        let name = value
+            .get("op")
+            .and_then(JsonValue::as_str)
+            .ok_or("request needs a string `op` field")?;
+        let op = Op::by_name(name).ok_or_else(|| format!("unknown op `{name}`"))?;
+        let request =
+            Self::decode(op, &mut JsonReader::new(value, name)).map_err(WireError::into_message)?;
+        request.check()?;
+        Ok(request)
+    }
+
+    fn read(reader: &mut impl Read) -> Result<Self, WireError> {
+        let tag = u8::read(reader)?;
         let op = Op::by_tag(tag)
             .ok_or_else(|| WireError::Corrupt(format!("unknown request tag {tag:#04x}")))?;
         let request = Self::decode(op, &mut BinReader(reader))?;
@@ -628,29 +638,8 @@ pub struct ShardDigest {
     pub fold: u64,
 }
 
-/// Implements [`Fields`] for a struct whose fields all travel as required
-/// members, in order: `field: "json key"`.
-macro_rules! plain_fields {
-    ($($ty:ty, $name:literal { $($field:ident: $key:literal),+ };)+) => {$(
-        impl Fields for $ty {
-            const NAME: &'static str = $name;
-
-            fn write_fields<W: Writer>(&self, w: &mut W) -> Result<(), WireError> {
-                $(w.field($key, &self.$field)?;)+
-                Ok(())
-            }
-
-            fn read_fields<R: Reader>(r: &mut R) -> Result<Self, WireError> {
-                Ok(Self { $($field: r.field($key)?),+ })
-            }
-        }
-    )+};
-}
-
-plain_fields! {
+srra_explore::plain_fields! {
     ShardDigest, "digest" { records: "records", fold: "fold" };
-    SeriesSample, "series sample" { at_us: "at_us", metrics: "metrics" };
-    SnapshotDelta, "series delta" { from_us: "from_us", to_us: "to_us", diff: "metrics" };
 }
 
 /// Request count and latency quantiles of one op, as reported by `stats`.
@@ -670,7 +659,7 @@ pub struct OpStats {
     pub p99_us: u64,
 }
 
-/// JSON keys the entries by op name (see [`ByName`]), so only binary
+/// JSON keys the entries by op name (see `ByName`), so only binary
 /// carries `op` inside the entry.
 impl Fields for OpStats {
     const NAME: &'static str = "op stats";
@@ -1083,7 +1072,7 @@ impl Response {
     /// lines (byte-identical to the shard files), so the hot reply paths do
     /// not build an intermediate JSON tree.
     pub fn render_into(&self, out: &mut String) {
-        JsonWriter::object(out, |w| self.encode(w));
+        Encode::render(self, out);
     }
 
     /// Decodes one response line.  A trailing `trace` member is ignored
@@ -1094,17 +1083,7 @@ impl Response {
     /// Returns a description of the first problem (malformed JSON or an
     /// unrecognised shape).
     pub fn parse(line: &str) -> Result<Self, String> {
-        let value = JsonValue::parse(line)?;
-        let ok = value
-            .get("ok")
-            .and_then(JsonValue::as_bool)
-            .ok_or("response needs a boolean `ok` field")?;
-        let reply = if ok {
-            Reply::sniff(&value).ok_or("unrecognised response shape")?
-        } else {
-            Reply::Error
-        };
-        Self::decode(reply, &mut JsonReader::new(&value, reply.key())).map_err(message)
+        Self::from_json(&JsonValue::parse(line)?)
     }
 }
 
@@ -1118,182 +1097,40 @@ fn write_reply<W: Writer, T: Encode + ?Sized>(
     w.field(reply.key(), payload)
 }
 
-impl WireSerde for Response {
-    fn serialize_into(&self, out: &mut impl Write) -> Result<(), WireError> {
-        self.encode(&mut BinWriter(out))
-    }
-
-    fn deserialize_from(reader: &mut impl Read) -> Result<Self, WireError> {
-        let tag = u8::deserialize_from(reader)?;
-        let reply = Reply::by_tag(tag)
-            .ok_or_else(|| WireError::Corrupt(format!("unknown response tag {tag:#04x}")))?;
-        Self::decode(reply, &mut BinReader(reader))
-    }
-}
-
-/// The `trace` reply's element shape (see `docs/observability.md`); JSON
-/// leaves out an empty annotation list.
-impl Fields for Span {
-    const NAME: &'static str = "span";
-
-    fn write_fields<W: Writer>(&self, w: &mut W) -> Result<(), WireError> {
-        w.field("trace", &self.trace_id)?;
-        w.field("span", &self.span_id)?;
-        w.field("parent", &self.parent_id)?;
-        w.field("name", &self.name)?;
-        w.field("start_us", &self.start_us)?;
-        w.field("dur_us", &self.dur_us)?;
-        w.field_if(
-            "annotations",
-            &self.annotations,
-            !self.annotations.is_empty(),
-        )
-    }
-
-    fn read_fields<R: Reader>(r: &mut R) -> Result<Self, WireError> {
-        Ok(Span {
-            trace_id: r.field("trace")?,
-            span_id: r.field("span")?,
-            parent_id: r.field("parent")?,
-            name: r.field("name")?,
-            start_us: r.field("start_us")?,
-            dur_us: r.field("dur_us")?,
-            annotations: r.field_or("annotations", Vec::new)?,
-        })
-    }
-}
-
-/// A snapshot renders as the `metrics` JSON body; binary carries the
-/// counters and gauges as name/value pairs and each histogram's buckets with
-/// its exemplars as a sparse (bucket index, trace id) list.
-impl Encode for MetricsSnapshot {
+impl Encode for Response {
     fn render(&self, out: &mut String) {
-        self.render_json_into(out);
+        JsonWriter::object(out, |w| self.encode(w));
     }
 
     fn write(&self, out: &mut impl Write) -> Result<(), WireError> {
-        self.counters.write(out)?;
-        self.gauges.write(out)?;
-        write_seq_len(out, self.histograms.len())?;
-        for (name, histogram) in &self.histograms {
-            write_str(out, name)?;
-            histogram.buckets().to_vec().serialize_into(out)?;
-            let exemplars: Vec<(usize, &str)> = histogram
-                .exemplars()
-                .iter()
-                .enumerate()
-                .filter_map(|(index, id)| id.as_deref().map(|id| (index, id)))
-                .collect();
-            write_seq_len(out, exemplars.len())?;
-            for (index, id) in exemplars {
-                (index as u8).serialize_into(out)?;
-                write_str(out, id)?;
-            }
-        }
-        Ok(())
+        self.encode(&mut BinWriter(out))
     }
 }
 
-/// Metric names are re-validated on the way in (they render unescaped on
-/// the way out), and histogram bucket arrays may be shorter than the local
-/// bucket count — a trailing-zero-trimmed or older peer's array zero-pads.
-impl Decode for MetricsSnapshot {
+/// JSON has no tag byte: a reply is told apart by its `ok` flag and the
+/// key its payload sits under.
+impl Decode for Response {
     const KIND: &'static str = "an object";
 
     fn from_json(value: &JsonValue) -> Result<Self, String> {
-        let mut r = JsonReader::new(value, "metrics");
-        let counters = r.field_or("counters", Vec::new).map_err(message)?;
-        let gauges = r.field_or("gauges", Vec::new).map_err(message)?;
-        let mut histograms = Vec::new();
-        let entries: &[(String, JsonValue)] = match value.get("histograms") {
-            None => &[],
-            Some(JsonValue::Object(entries)) => entries,
-            Some(_) => return Err("metrics `histograms` must be an object".to_owned()),
+        let ok = value
+            .get("ok")
+            .and_then(JsonValue::as_bool)
+            .ok_or("response needs a boolean `ok` field")?;
+        let reply = if ok {
+            Reply::sniff(value).ok_or("unrecognised response shape")?
+        } else {
+            Reply::Error
         };
-        for (name, entry) in entries {
-            let buckets = entry
-                .get("buckets")
-                .and_then(JsonValue::as_array)
-                .ok_or_else(|| format!("histogram `{name}` needs a `buckets` array"))?
-                .iter()
-                .map(JsonValue::as_u64)
-                .collect::<Option<Vec<_>>>()
-                .ok_or_else(|| format!("histogram `{name}` buckets must be numbers"))?;
-            let mut buckets = HistogramSnapshot::from_buckets(&buckets)
-                .ok_or_else(|| format!("histogram `{name}` carries too many buckets"))?;
-            match entry.get("exemplars") {
-                None => {}
-                Some(JsonValue::Object(exemplars)) => {
-                    // Keys are the bucket upper bounds `(1 << index) - 1` the
-                    // JSON rendering emits; unknown bounds are ignored so newer
-                    // peers with more buckets still parse.
-                    for (le, id) in exemplars {
-                        let (Ok(bound), Some(id)) = (le.parse::<u64>(), id.as_str()) else {
-                            return Err(format!(
-                                "histogram `{name}` exemplars must map bucket bounds to trace ids"
-                            ));
-                        };
-                        if let Some(index) =
-                            (0..LATENCY_BUCKETS).find(|i| (1u64 << i).wrapping_sub(1) == bound)
-                        {
-                            buckets.set_exemplar(index, id.to_owned());
-                        }
-                    }
-                }
-                Some(_) => {
-                    return Err(format!("histogram `{name}` exemplars must be an object"));
-                }
-            }
-            histograms.push((name.clone(), buckets));
-        }
-        checked_names(MetricsSnapshot {
-            counters,
-            gauges,
-            histograms,
-        })
+        Self::decode(reply, &mut JsonReader::new(value, reply.key()))
+            .map_err(WireError::into_message)
     }
 
     fn read(reader: &mut impl Read) -> Result<Self, WireError> {
-        let counters = Vec::read(reader)?;
-        let gauges = Vec::read(reader)?;
-        let count = read_len(reader, MAX_SEQ_LEN, "histograms")?;
-        let mut histograms = Vec::with_capacity(count.min(4096));
-        for _ in 0..count {
-            let name = String::read(reader)?;
-            let buckets = Vec::<u64>::read(reader)?;
-            let mut histogram = HistogramSnapshot::from_buckets(&buckets).ok_or_else(|| {
-                WireError::Corrupt(format!("histogram `{name}` carries too many buckets"))
-            })?;
-            let exemplars = read_len(reader, MAX_SEQ_LEN, "exemplars")?;
-            for _ in 0..exemplars {
-                let index = u8::deserialize_from(reader)? as usize;
-                let id = String::read(reader)?;
-                // Out-of-range indices are ignored, as in the JSON decoding.
-                histogram.set_exemplar(index, id);
-            }
-            histograms.push((name, histogram));
-        }
-        checked_names(MetricsSnapshot {
-            counters,
-            gauges,
-            histograms,
-        })
-        .map_err(WireError::Corrupt)
-    }
-}
-
-/// Rejects a decoded snapshot carrying an illegal metric name.
-fn checked_names(snapshot: MetricsSnapshot) -> Result<MetricsSnapshot, String> {
-    let counters = snapshot.counters.iter().map(|(name, _)| name);
-    let gauges = snapshot.gauges.iter().map(|(name, _)| name);
-    let histograms = snapshot.histograms.iter().map(|(name, _)| name);
-    match counters
-        .chain(gauges)
-        .chain(histograms)
-        .find(|name| !valid_metric_name(name))
-    {
-        Some(name) => Err(format!("illegal metric name {name:?}")),
-        None => Ok(snapshot),
+        let tag = u8::read(reader)?;
+        let reply = Reply::by_tag(tag)
+            .ok_or_else(|| WireError::Corrupt(format!("unknown response tag {tag:#04x}")))?;
+        Self::decode(reply, &mut BinReader(reader))
     }
 }
 

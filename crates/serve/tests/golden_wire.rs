@@ -329,7 +329,7 @@ fn hex_frames<T>(
 }
 
 /// Reads one hex frame line back into its payload's value and trace id.
-fn decode_frame<T: srra_explore::WireSerde>(line: &str) -> (T, Option<String>) {
+fn decode_frame<T: srra_explore::codec::Decode>(line: &str) -> (T, Option<String>) {
     let wire = unhex(line);
     let mut reader = wire.as_slice();
     let mut payload = Vec::new();

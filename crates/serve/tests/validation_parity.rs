@@ -54,3 +54,41 @@ fn both_codecs_reject_each_invalid_request_with_the_same_message() {
         );
     }
 }
+
+/// A batch one entry over the codec's sequence cap (1 << 20) is refused by
+/// both codecs with the same message: the binary encoder will not write
+/// it, the binary decoder rejects a frame that carries it anyway, and the
+/// JSON decoder rejects its line.
+#[test]
+fn both_codecs_refuse_a_batch_over_the_sequence_cap() {
+    const CAP: usize = 1 << 20;
+    let message = format!("sequence length {} exceeds the {CAP} cap", CAP + 1);
+    let mut canonicals = vec!["a".to_owned(); CAP];
+
+    // At the cap the frame encodes; patch its count header to one more and
+    // append the extra entry.
+    let mut frame = Vec::new();
+    let at_cap = Request::MultiGet {
+        canonicals: canonicals.clone(),
+    };
+    encode_request_frame(&mut frame, None, &at_cap).expect("encodes at the cap");
+    let mut payload = frame[5..].to_vec();
+    payload[2..6].copy_from_slice(&(CAP as u32 + 1).to_le_bytes());
+    payload.extend_from_slice(&1u32.to_le_bytes());
+    payload.push(b'a');
+    let Err(binary) = decode_payload::<Request>(&payload) else {
+        panic!("binary decoder accepted an over-cap batch");
+    };
+    assert!(binary.to_string().ends_with(&message), "{binary}");
+
+    canonicals.push("a".to_owned());
+    let over = Request::MultiGet { canonicals };
+    let Err(encoded) = encode_request_frame(&mut Vec::new(), None, &over) else {
+        panic!("binary encoder wrote an over-cap batch");
+    };
+    assert!(encoded.to_string().ends_with(&message), "{encoded}");
+    let Err(json) = Request::parse(&over.render()) else {
+        panic!("JSON decoder accepted an over-cap batch");
+    };
+    assert!(json.ends_with(&message), "{json}");
+}

@@ -2,9 +2,9 @@
 //! and the field layer that builds records and wire messages out of them.
 //!
 //! The workspace's `serde` is an offline no-op shim, so the codec is
-//! hand-rolled behind one trait pair, in the manner of papyrus's
-//! `StorageSerde`: [`Encode`] writes a value and [`Decode`] reads it back,
-//! each in both codecs.  Structs made only of fields implement [`Fields`]
+//! hand-rolled behind one trait pair, used for both storage and the wire:
+//! [`Encode`] writes a value and [`Decode`] reads it back, each in both
+//! codecs.  Structs made only of fields implement [`Fields`]
 //! instead and get both traits for free: they list their fields once,
 //! against a [`Writer`] and a [`Reader`].  The JSON pair ([`JsonWriter`] /
 //! [`JsonReader`]) maps a field to an object member by key; the binary pair
@@ -544,16 +544,7 @@ impl<T: Decode> Decode for Vec<T> {
 /// by name, a sequence of name/value pairs in binary.
 impl<T: Encode> Encode for Vec<(String, T)> {
     fn render(&self, out: &mut String) {
-        out.push('{');
-        for (index, (name, value)) in self.iter().enumerate() {
-            if index > 0 {
-                out.push(',');
-            }
-            render_string(out, name);
-            out.push(':');
-            value.render(out);
-        }
-        out.push('}');
+        render_named(out, self.iter().map(|(name, value)| (name.as_str(), value)));
     }
 
     fn write(&self, out: &mut impl Write) -> Result<(), WireError> {
@@ -591,6 +582,23 @@ impl<T: Decode> Decode for Vec<(String, T)> {
         }
         Ok(pairs)
     }
+}
+
+/// Renders `(name, value)` entries as one JSON object keyed by name.
+pub fn render_named<'a, T: Encode + ?Sized + 'a>(
+    out: &mut String,
+    entries: impl Iterator<Item = (&'a str, &'a T)>,
+) {
+    out.push('{');
+    for (index, (name, value)) in entries.enumerate() {
+        if index > 0 {
+            out.push(',');
+        }
+        render_string(out, name);
+        out.push(':');
+        value.render(out);
+    }
+    out.push('}');
 }
 
 /// The `trace` reply's element shape (see `docs/observability.md`); JSON

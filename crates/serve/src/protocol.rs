@@ -29,10 +29,10 @@
 use std::io::{Read, Write};
 
 use srra_explore::codec::{
-    BinReader, BinWriter, Decode, Encode, Fields, Head, JsonReader, JsonWriter, Reader, WireError,
-    Writer,
+    render_named, BinReader, BinWriter, Decode, Encode, Fields, Head, JsonReader, JsonWriter,
+    Reader, WireError, Writer,
 };
-use srra_explore::{render_string, JsonValue, PointRecord};
+use srra_explore::{JsonValue, PointRecord};
 use srra_obs::{MetricsSnapshot, SeriesSample, SnapshotDelta, Span};
 
 /// Longest accepted `trace` id, in bytes.
@@ -364,7 +364,7 @@ pub enum Request {
     /// cluster router to tee freshly evaluated records to replica nodes; a
     /// record whose canonical is already present is a no-op.
     Put {
-        /// The records to store, in their JSONL cache encoding.
+        /// The records to store.
         records: Vec<PointRecord>,
     },
     /// Trivial health probe: answers [`Response::Pong`] and touches nothing.
@@ -772,16 +772,7 @@ struct ByName<T>(T);
 
 impl Encode for ByName<&[OpStats]> {
     fn render(&self, out: &mut String) {
-        out.push('{');
-        for (index, entry) in self.0.iter().enumerate() {
-            if index > 0 {
-                out.push(',');
-            }
-            render_string(out, &entry.op);
-            out.push(':');
-            entry.render(out);
-        }
-        out.push('}');
+        render_named(out, self.0.iter().map(|entry| (entry.op.as_str(), entry)));
     }
 
     fn write(&self, out: &mut impl Write) -> Result<(), WireError> {
@@ -1068,8 +1059,8 @@ impl Response {
     }
 
     /// Encodes the response into `out` (no trailing newline), reusing the
-    /// buffer's allocation.  Embedded records are appended as their raw JSONL
-    /// lines (byte-identical to the shard files), so the hot reply paths do
+    /// buffer's allocation.  Embedded records are appended as their JSON
+    /// lines ([`PointRecord::write_json_line`]), so the hot reply paths do
     /// not build an intermediate JSON tree.
     pub fn render_into(&self, out: &mut String) {
         Encode::render(self, out);

@@ -9,8 +9,9 @@
 #      crates and its smoke tests pass, so a public API change that breaks
 #      the benchmark fails here rather than in a benchmark run)
 #   5. serve smoke test    (srra serve + srra query against a live socket,
-#                           incl. one pipelined keep-alive connection and
-#                           the same ops over the binary wire codec)
+#                           incl. one pipelined keep-alive connection, the
+#                           same ops over the binary wire codec and the typed
+#                           refusal of an over-cap RAM latency)
 #   6. cluster smoke test  (two srra serve nodes + consistent-hash routed
 #                           mget/explore through srra cluster, JSON and
 #                           binary; both nodes must receive traffic)
@@ -136,6 +137,25 @@ sed -n '1p' "$BPIPE_OUT" | grep -q '"found":true'
 sed -n '2p' "$BPIPE_OUT" | grep -q '"got":\[{.*,null\]'
 cmp -s <(sed -n '1,2p' "$PIPE_OUT") "$BPIPE_OUT" \
   || { echo "serve smoke: binary and JSON replies differ"; exit 1; }
+# A RAM latency past the cost model's cap (65536 cycles) answers the typed
+# error, never a record: the CLI refuses it before sending, and the server's
+# request check refuses it from a raw socket that skips the CLI.
+OVER_CAP=65537
+CAP_ERROR="RAM latency $OVER_CAP exceeds the cap of 65536 cycles"
+if "$SRRA" query --addr "$ADDR" explore --kernel fir --algos cpa --budgets 32 \
+  --latencies "$OVER_CAP" > "$SMOKE_DIR/cap.out" 2> "$SMOKE_DIR/cap.err"; then
+  echo "serve smoke: over-cap latency answered a record"; exit 1
+fi
+grep -q "$CAP_ERROR" "$SMOKE_DIR/cap.err" \
+  || { echo "serve smoke: over-cap latency not refused by the CLI"; exit 1; }
+exec 8<>"/dev/tcp/127.0.0.1/${ADDR##*:}"
+echo '{"op":"explore","points":[{"kernel":"fir","algo":"cpa","budget":32,"latency":'"$OVER_CAP"'}]}' >&8
+read -r -t 5 CAP_REPLY <&8 || true
+exec 8<&- 8>&-
+case "$CAP_REPLY" in
+  *'"error":'*"$CAP_ERROR"*) ;;
+  *) echo "serve smoke: server answered an over-cap latency with: $CAP_REPLY"; exit 1 ;;
+esac
 # Trace smoke: stamp a trace id on a cold explore, then fetch its span
 # waterfall after the fact through the trace op.  The root spans the whole
 # request; the engine stages and the render show up as indented children.

@@ -29,8 +29,8 @@ pub use sweep::{
 pub use table1::{render_table1, summarize, table1, table1_for, Table1Row, Table1Summary};
 
 use srra_core::{
-    memory_cost, AllocError, AllocatorKind, AllocatorRef, CompiledKernel, MemoryCostModel,
-    MemoryCostReport, RegisterAllocation,
+    AllocError, AllocatorKind, AllocatorRef, CompiledKernel, MemoryCostModel, MemoryCostReport,
+    RegisterAllocation,
 };
 use srra_fpga::{DeviceModel, EvaluationOptions, HardwareDesign};
 use srra_ir::Kernel;
@@ -49,9 +49,10 @@ pub struct KernelOutcome {
 /// Runs the allocation → cost model → hardware design estimate pipeline against
 /// a shared [`CompiledKernel`] context with default models.
 ///
-/// The context's memoized reuse analysis is computed on first use, so
-/// evaluating several (strategy, budget) pairs of one kernel — as
-/// [`table1()`] and [`figure2()`] do — analyses the kernel exactly once.
+/// The context's memoized artifacts (reuse analysis, data-flow graph, memory
+/// stages) are computed on first use, so evaluating several (strategy, budget)
+/// pairs of one kernel — as [`table1()`] and [`figure2()`] do — derives each
+/// exactly once.
 ///
 /// # Errors
 ///
@@ -63,15 +64,9 @@ pub fn evaluate_compiled(
     budget: u64,
 ) -> Result<KernelOutcome, AllocError> {
     let allocation = allocator.allocate(kernel, budget)?;
-    let cost = memory_cost(
-        kernel.kernel(),
-        kernel.analysis(),
-        &allocation,
-        &MemoryCostModel::default(),
-    );
-    let design = HardwareDesign::evaluate(
-        kernel.kernel(),
-        kernel.analysis(),
+    let cost = kernel.memory_cost(&allocation, &MemoryCostModel::default());
+    let design = HardwareDesign::evaluate_compiled(
+        kernel,
         &allocation,
         &DeviceModel::xcv1000(),
         &EvaluationOptions::default(),

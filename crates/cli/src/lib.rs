@@ -28,7 +28,7 @@
 
 use srra_bench::{evaluate_compiled, figure2, render_figure2, render_table1, table1};
 use srra_cluster::{ClusterClient, ClusterConfig};
-use srra_core::{AllocatorRef, AllocatorRegistry, CompiledKernel};
+use srra_core::{AllocatorRef, AllocatorRegistry, CompiledKernel, MemoryCostModel};
 use srra_explore::{
     exploration_csv, import_jsonl, render_exploration, DesignSpace, Exploration, Explorer,
     MemoryStore, ResultStore, SegmentStore, StoreError,
@@ -348,6 +348,20 @@ fn parse_u64_list(flag: &str, value: &str) -> Result<Vec<u64>, CliError> {
         .collect()
 }
 
+/// Parses a comma-separated list of RAM latencies, refusing any above
+/// [`MemoryCostModel::MAX_RAM_LATENCY`].
+fn parse_latencies(flag: &str, value: &str) -> Result<Vec<u64>, CliError> {
+    parse_u64_list(flag, value)?
+        .into_iter()
+        .map(|cycles| checked_latency(flag, cycles))
+        .collect()
+}
+
+fn checked_latency(flag: &str, cycles: u64) -> Result<u64, CliError> {
+    MemoryCostModel::check_ram_latency(cycles)
+        .map_err(|err| CliError(format!("invalid {flag} value: {err}")))
+}
+
 fn device_by_name(name: &str) -> Result<DeviceModel, CliError> {
     // One resolver for both the local explore path and the serve protocol,
     // so `--devices` accepts the same spellings everywhere.
@@ -404,7 +418,7 @@ fn parse_explore_args(args: &[String]) -> Result<ExploreArgs, CliError> {
             }
             "--budgets" => parsed.budgets = parse_u64_list("--budgets", &value("--budgets")?)?,
             "--latencies" => {
-                parsed.latencies = parse_u64_list("--latencies", &value("--latencies")?)?;
+                parsed.latencies = parse_latencies("--latencies", &value("--latencies")?)?;
             }
             "--devices" => {
                 let list = value("--devices")?;
@@ -751,7 +765,7 @@ fn parse_query_points(args: &[String]) -> Result<Vec<QueryPoint>, CliError> {
             }
             "--algos" | "--algo" => algos = names(value("--algos")?),
             "--budgets" => budgets = parse_u64_list("--budgets", &value("--budgets")?)?,
-            "--latencies" => latencies = parse_u64_list("--latencies", &value("--latencies")?)?,
+            "--latencies" => latencies = parse_latencies("--latencies", &value("--latencies")?)?,
             "--devices" => devices = names(value("--devices")?),
             other => {
                 return Err(CliError(format!("unknown query explore flag `{other}`")));
@@ -1147,9 +1161,10 @@ fn parse_get_point(
         match flag.as_str() {
             "--latency" => {
                 let raw = value("--latency")?;
-                point.ram_latency = raw
+                let cycles = raw
                     .parse()
                     .map_err(|_| CliError(format!("invalid --latency value `{raw}`")))?;
+                point.ram_latency = checked_latency("--latency", cycles)?;
             }
             "--device" => point.device = value("--device")?,
             other => return Err(CliError(format!("unknown get flag `{other}`"))),
@@ -2189,6 +2204,55 @@ mod tests {
         // header + 1 kernel x 2 algorithms x 2 budgets x 2 latencies
         assert_eq!(out.lines().count(), 1 + 8);
         assert!(out.starts_with("kernel,algorithm,"));
+    }
+
+    #[test]
+    fn latencies_past_the_cap_are_refused_before_any_work() {
+        let over = (MemoryCostModel::MAX_RAM_LATENCY + 1).to_string();
+        let cap = MemoryCostModel::MAX_RAM_LATENCY.to_string();
+        for argv in [
+            vec!["explore", "--kernel", "fir", "--latencies", "2,65537"],
+            // The server address is never dialled: parsing fails first.
+            vec![
+                "query",
+                "--addr",
+                "127.0.0.1:1",
+                "explore",
+                "--latencies",
+                &over,
+            ],
+            vec![
+                "query",
+                "--addr",
+                "127.0.0.1:1",
+                "get",
+                "fir",
+                "cpa",
+                "32",
+                "--latency",
+                &over,
+            ],
+        ] {
+            let err = run(&args(&argv)).expect_err("over-cap latency accepted");
+            assert!(
+                err.0.contains(&format!(
+                    "RAM latency {over} exceeds the cap of {cap} cycles"
+                )),
+                "{argv:?}: {err}"
+            );
+        }
+        let at_cap = run(&args(&[
+            "explore",
+            "--kernel",
+            "fir",
+            "--algos",
+            "cpa",
+            "--latencies",
+            &cap,
+            "--csv",
+        ]))
+        .expect("the cap itself is accepted");
+        assert_eq!(at_cap.lines().count(), 2);
     }
 
     #[test]

@@ -8,7 +8,10 @@
 //!    reference nodes that lie on the resulting Critical Graph form the **memory
 //!    stages** of an iteration (grouped by their position along the path).  References
 //!    off the critical path (such as `c[j]` in the paper's example) overlap with
-//!    datapath operations and do not add memory cycles.
+//!    datapath operations and do not add memory cycles.  The stages depend only on the
+//!    kernel and the RAM latency, never on the allocation being costed, so a
+//!    [`CompiledKernel`] memoizes them per RAM latency ([`MemoryStages`]) and every
+//!    allocation of that kernel is costed against the same stages.
 //! 2. For each reference, the allocation determines its **miss fraction**: 0 for full
 //!    replacement (the steady state never touches RAM), `1 − β/R` for partial
 //!    replacement and 1 when no reuse is captured.
@@ -22,14 +25,15 @@
 //! (1,800 / 1,560 / 1,184 memory cycles per outer-loop iteration for FR-RA, PR-RA and
 //! CPA-RA respectively).
 
-use std::collections::BTreeMap;
+use std::fmt;
 
 use serde::{Deserialize, Serialize};
 use srra_dfg::{CriticalPathAnalysis, DataFlowGraph, LatencyModel, StorageMap};
-use srra_ir::Kernel;
+use srra_ir::{ArrayId, Kernel, RefId};
 use srra_reuse::{remaining_accesses, ReuseAnalysis};
 
 use crate::allocation::{RegisterAllocation, ReplacementMode};
+use crate::context::CompiledKernel;
 
 /// Parameters of the memory cost model.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -51,6 +55,15 @@ impl Default for MemoryCostModel {
 }
 
 impl MemoryCostModel {
+    /// The largest RAM latency, in cycles, that the model accepts from a user.
+    ///
+    /// Path lengths and cycle totals are sums and products of the RAM latency; far
+    /// above any real BlockRAM, a latency near `u64::MAX` overflows them.  Every
+    /// entry point that takes a latency from outside (the serving protocol's
+    /// `explore`/`mexplore` points and the CLI's `--latency`/`--latencies`) refuses a
+    /// larger one with [`RamLatencyTooLarge`].  Latency 0 stays accepted.
+    pub const MAX_RAM_LATENCY: u64 = 65_536;
+
     /// Returns a copy with a different RAM latency.
     #[must_use]
     pub fn with_ram_latency(mut self, cycles: u64) -> Self {
@@ -64,15 +77,126 @@ impl MemoryCostModel {
         self.concurrent_ram_access = enabled;
         self
     }
+
+    /// Checks a user-supplied RAM latency against [`Self::MAX_RAM_LATENCY`].
+    ///
+    /// # Errors
+    ///
+    /// [`RamLatencyTooLarge`] when `cycles` exceeds the cap.
+    pub fn check_ram_latency(cycles: u64) -> Result<u64, RamLatencyTooLarge> {
+        if cycles > Self::MAX_RAM_LATENCY {
+            Err(RamLatencyTooLarge { cycles })
+        } else {
+            Ok(cycles)
+        }
+    }
+}
+
+/// A RAM latency above [`MemoryCostModel::MAX_RAM_LATENCY`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RamLatencyTooLarge {
+    /// The refused latency, in cycles.
+    pub cycles: u64,
+}
+
+impl fmt::Display for RamLatencyTooLarge {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "RAM latency {} exceeds the cap of {} cycles",
+            self.cycles,
+            MemoryCostModel::MAX_RAM_LATENCY
+        )
+    }
+}
+
+impl std::error::Error for RamLatencyTooLarge {}
+
+/// The memory stages of one loop-body iteration under one RAM latency: the
+/// references on the all-RAM Critical Graph, grouped by their longest-path depth.
+///
+/// Only references the reuse analysis knows are kept.  Within a stage the
+/// references are ordered by array (and by critical-graph node order within one
+/// array), so the accesses that share a RAM block are adjacent.
+#[derive(Debug, Clone, PartialEq)]
+pub struct MemoryStages {
+    stages: Vec<Vec<(ArrayId, RefId)>>,
+}
+
+impl MemoryStages {
+    /// Derives the stages of `dfg` with every reference in RAM at `ram_latency`
+    /// (0 is treated as 1).
+    pub(crate) fn new(dfg: &DataFlowGraph, analysis: &ReuseAnalysis, ram_latency: u64) -> Self {
+        // The memory stages are a structural property of the computation: they are
+        // derived from the critical graph of the all-RAM configuration so that the same
+        // stages are compared across allocations.
+        let structural = CriticalPathAnalysis::new(
+            dfg,
+            &LatencyModel::default().with_ram_latency(ram_latency.max(1)),
+            &StorageMap::all_ram(),
+        );
+        // Group the critical reference nodes by their longest-path position (depth),
+        // which corresponds to the order in which an iteration needs the data.
+        let mut by_depth: Vec<(u64, ArrayId, RefId)> = structural
+            .critical_graph()
+            .nodes()
+            .iter()
+            .filter_map(|&node| {
+                let ref_id = dfg.node(node).reference()?;
+                let array = analysis.get(ref_id)?.array();
+                Some((structural.longest_to(node), array, ref_id))
+            })
+            .collect();
+        // Stable: references of one array keep their node order.
+        by_depth.sort_by_key(|&(depth, array, _)| (depth, array));
+        let stages = runs(&by_depth, |&(depth, _, _)| depth)
+            .map(|stage| stage.iter().map(|&(_, array, r)| (array, r)).collect())
+            .collect();
+        Self { stages }
+    }
+
+    /// Number of stages.
+    pub fn len(&self) -> usize {
+        self.stages.len()
+    }
+
+    /// Returns `true` when no reference lies on the critical graph.
+    pub fn is_empty(&self) -> bool {
+        self.stages.is_empty()
+    }
+}
+
+/// Splits `items` into maximal runs of equal `key` (`slice::chunk_by`, which is
+/// newer than the workspace's minimum Rust version).
+fn runs<T, K: PartialEq>(items: &[T], key: impl Fn(&T) -> K) -> impl Iterator<Item = &[T]> {
+    let mut rest = items;
+    std::iter::from_fn(move || {
+        let first = key(rest.first()?);
+        let len = rest.iter().take_while(|item| key(item) == first).count();
+        let (run, tail) = rest.split_at(len);
+        rest = tail;
+        Some(run)
+    })
 }
 
 /// Cost contribution of one memory stage of the loop body.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StageCost {
-    /// References participating in the stage, rendered with loop names.
-    pub references: Vec<String>,
+    /// References participating in the stage, grouped by array.
+    pub references: Vec<RefId>,
     /// Expected RAM cycles the stage contributes per innermost iteration.
     pub cycles_per_iteration: f64,
+}
+
+impl StageCost {
+    /// The stage's references rendered with loop names, e.g. `a[k]`.
+    pub fn reference_names<'a>(&self, analysis: &'a ReuseAnalysis) -> Vec<&'a str> {
+        self.references
+            .iter()
+            .filter_map(|r| analysis.get(*r))
+            .map(|s| s.rendered())
+            .collect()
+    }
 }
 
 /// The result of costing an allocation with [`memory_cost`].
@@ -99,7 +223,7 @@ pub struct MemoryCostReport {
 pub(crate) fn miss_fraction(
     analysis: &ReuseAnalysis,
     allocation: &RegisterAllocation,
-    ref_id: srra_ir::RefId,
+    ref_id: RefId,
 ) -> f64 {
     let Some(summary) = analysis.get(ref_id) else {
         return 1.0;
@@ -123,61 +247,62 @@ pub(crate) fn miss_fraction(
 ///
 /// See the module documentation for the model.  The report also includes the raw
 /// remaining/eliminated access counts, which the FPGA model and the Table 1 harness
-/// reuse.
+/// reuse.  This derives the kernel's memory stages afresh; costing several
+/// allocations of one kernel through [`CompiledKernel::memory_cost`] derives them
+/// once.
 pub fn memory_cost(
     kernel: &Kernel,
     analysis: &ReuseAnalysis,
     allocation: &RegisterAllocation,
     model: &MemoryCostModel,
 ) -> MemoryCostReport {
-    let dfg = DataFlowGraph::from_kernel(kernel);
-    // The memory stages are a structural property of the computation: they are derived
-    // from the critical graph of the all-RAM configuration so that the same stages are
-    // compared across allocations.
-    let structural = CriticalPathAnalysis::new(
-        &dfg,
-        &LatencyModel::default().with_ram_latency(model.ram_latency.max(1)),
-        &StorageMap::all_ram(),
+    let stages = MemoryStages::new(
+        &DataFlowGraph::from_kernel(kernel),
+        analysis,
+        model.ram_latency,
     );
-    let cg = structural.critical_graph();
+    cost_against(kernel, analysis, &stages, allocation, model)
+}
 
-    // Group the critical reference nodes by their longest-path position (depth), which
-    // corresponds to the order in which an iteration needs the data.
-    let mut stages: BTreeMap<u64, Vec<srra_ir::RefId>> = BTreeMap::new();
-    for &node in cg.nodes() {
-        if let Some(ref_id) = dfg.node(node).reference() {
-            stages
-                .entry(structural.longest_to(node))
-                .or_default()
-                .push(ref_id);
-        }
+impl CompiledKernel {
+    /// [`memory_cost`] of an allocation of this kernel, against the memoized
+    /// memory stages of the model's RAM latency.
+    pub fn memory_cost(
+        &self,
+        allocation: &RegisterAllocation,
+        model: &MemoryCostModel,
+    ) -> MemoryCostReport {
+        let stages = self.memory_stages(model.ram_latency);
+        cost_against(self.kernel(), self.analysis(), &stages, allocation, model)
     }
+}
 
-    let mut stage_costs = Vec::new();
+fn cost_against(
+    kernel: &Kernel,
+    analysis: &ReuseAnalysis,
+    stages: &MemoryStages,
+    allocation: &RegisterAllocation,
+    model: &MemoryCostModel,
+) -> MemoryCostReport {
+    let mut stage_costs = Vec::with_capacity(stages.len());
     let mut cycles_per_iteration = 0.0f64;
-    for refs in stages.values() {
+    for stage in &stages.stages {
         // Concurrency applies across different arrays; accesses to the same array
         // serialise on its RAM block port.
-        let mut per_array: BTreeMap<srra_ir::ArrayId, f64> = BTreeMap::new();
-        for ref_id in refs {
-            let miss = miss_fraction(analysis, allocation, *ref_id);
-            if let Some(summary) = analysis.get(*ref_id) {
-                *per_array.entry(summary.array()).or_insert(0.0) += miss;
-            }
-        }
+        let per_array = runs(stage, |&(array, _)| array).map(|refs| {
+            refs.iter().fold(0.0f64, |sum, &(_, ref_id)| {
+                sum + miss_fraction(analysis, allocation, ref_id)
+            })
+        });
         let stage_fraction = if model.concurrent_ram_access {
-            per_array.values().copied().fold(0.0f64, f64::max)
+            per_array.fold(0.0f64, f64::max)
         } else {
-            per_array.values().copied().sum()
+            per_array.sum()
         };
         let cycles = stage_fraction * model.ram_latency as f64;
         cycles_per_iteration += cycles;
         stage_costs.push(StageCost {
-            references: refs
-                .iter()
-                .filter_map(|r| analysis.get(*r))
-                .map(|s| s.rendered().to_owned())
-                .collect(),
+            references: stage.iter().map(|&(_, ref_id)| ref_id).collect(),
             cycles_per_iteration: cycles,
         });
     }
@@ -274,10 +399,15 @@ mod tests {
         let r = report(AllocatorKind::NoReplacement, 64);
         // Stages: {a, b}, {d}, {e}; c is off the critical path.
         assert_eq!(r.stages.len(), 3);
-        let all_refs: Vec<String> = r.stages.iter().flat_map(|s| s.references.clone()).collect();
-        assert!(all_refs.contains(&"a[k]".to_owned()));
-        assert!(all_refs.contains(&"d[i][k]".to_owned()));
-        assert!(!all_refs.contains(&"c[j]".to_owned()));
+        let analysis = ReuseAnalysis::of(&paper_example());
+        let all_refs: Vec<&str> = r
+            .stages
+            .iter()
+            .flat_map(|s| s.reference_names(&analysis))
+            .collect();
+        assert!(all_refs.contains(&"a[k]"));
+        assert!(all_refs.contains(&"d[i][k]"));
+        assert!(!all_refs.contains(&"c[j]"));
     }
 
     #[test]

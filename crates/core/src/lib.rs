@@ -98,7 +98,9 @@ mod scalar_replace;
 pub use allocation::{AllocatorKind, RefAllocation, RegisterAllocation, ReplacementMode};
 pub use baseline::no_replacement;
 pub use context::CompiledKernel;
-pub use cost::{memory_cost, MemoryCostModel, MemoryCostReport, StageCost};
+pub use cost::{
+    memory_cost, MemoryCostModel, MemoryCostReport, MemoryStages, RamLatencyTooLarge, StageCost,
+};
 pub use cpa_ra::{critical_path_aware, critical_path_aware_with, CpaOptions, CutSelectionPolicy};
 pub use error::AllocError;
 pub use fr_ra::full_reuse;

@@ -15,10 +15,11 @@
 //! and RAM traffic without simulating the transformed source text.
 
 use serde::{Deserialize, Serialize};
-use srra_ir::{Kernel, RefId};
+use srra_ir::{Kernel, RefId, ReferenceTable};
 use srra_reuse::ReuseAnalysis;
 
 use crate::allocation::{RegisterAllocation, ReplacementMode};
+use crate::context::CompiledKernel;
 use crate::cost::miss_fraction;
 
 /// Per-reference slice of a [`ReplacementPlan`].
@@ -63,7 +64,25 @@ pub struct ReplacementPlan {
 
 impl ReplacementPlan {
     /// Builds the plan for an allocation.
+    ///
+    /// This derives the kernel's reference table afresh; planning several
+    /// allocations of one kernel through [`CompiledKernel::replacement_plan`]
+    /// derives it once.
     pub fn new(kernel: &Kernel, analysis: &ReuseAnalysis, allocation: &RegisterAllocation) -> Self {
+        Self::build(
+            kernel.name(),
+            &kernel.reference_table(),
+            analysis,
+            allocation,
+        )
+    }
+
+    fn build(
+        kernel_name: &str,
+        table: &ReferenceTable,
+        analysis: &ReuseAnalysis,
+        allocation: &RegisterAllocation,
+    ) -> Self {
         let refs = analysis
             .iter()
             .map(|summary| {
@@ -72,7 +91,6 @@ impl ReplacementPlan {
                     .get(summary.ref_id())
                     .map(|d| d.mode())
                     .unwrap_or(ReplacementMode::None);
-                let table = kernel.reference_table();
                 let info = table.get(summary.ref_id());
                 let has_read = info.map(|i| i.has_read()).unwrap_or(false);
                 let has_write = info.map(|i| i.has_write()).unwrap_or(false);
@@ -111,7 +129,7 @@ impl ReplacementPlan {
             })
             .collect();
         Self {
-            kernel_name: kernel.name().to_owned(),
+            kernel_name: kernel_name.to_owned(),
             refs,
         }
     }
@@ -154,6 +172,14 @@ impl ReplacementPlan {
     /// Number of references that keep using their RAM block in steady state.
     pub fn ram_resident_refs(&self) -> usize {
         self.refs.iter().filter(|r| r.steady_miss > 0.0).count()
+    }
+}
+
+impl CompiledKernel {
+    /// [`ReplacementPlan::new`] for an allocation of this kernel, against the
+    /// memoized reference table and reuse analysis.
+    pub fn replacement_plan(&self, allocation: &RegisterAllocation) -> ReplacementPlan {
+        ReplacementPlan::build(self.name(), self.references(), self.analysis(), allocation)
     }
 }
 

@@ -73,9 +73,9 @@ fn elapsed_us(started: Instant) -> u64 {
 
 /// Evaluates one design point from scratch (no cache involved).
 ///
-/// The kernel's [`CompiledKernel`] context supplies the (memoized) reuse
-/// analysis, so evaluating many points of one kernel performs the analysis
-/// once, on first use.  The point's RAM latency parameterises both the
+/// The kernel's [`CompiledKernel`] context supplies the memoized reuse
+/// analysis, data-flow graph and memory stages, so evaluating many points of
+/// one kernel derives each once, on first use.  The point's RAM latency parameterises both the
 /// steady-state memory-cycle metric and the hardware evaluation, so
 /// `ram_latency = 2` reproduces `srra_bench::evaluate_kernel`'s numbers and
 /// `ram_latency = 1` reproduces the abstract `T_mem` metric of the Figure 2
@@ -142,13 +142,7 @@ pub fn evaluate_point_timed(
         ..EvaluationOptions::default()
     };
     let started = Instant::now();
-    let design = HardwareDesign::evaluate(
-        kernel.kernel(),
-        kernel.analysis(),
-        &allocation,
-        &point.device,
-        &options,
-    );
+    let design = HardwareDesign::evaluate_compiled(kernel, &allocation, &point.device, &options);
     metrics.cost_model_us.record(started.elapsed());
     timings.cost_model_us = elapsed_us(started);
     let record = PointRecord {

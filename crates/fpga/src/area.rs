@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
-use srra_core::ReplacementPlan;
+use srra_core::{CompiledKernel, ReplacementPlan};
 use srra_dfg::{DataFlowGraph, NodeKind};
 use srra_ir::{BinOp, Kernel};
 
@@ -70,14 +70,36 @@ impl Default for AreaModel {
 
 impl AreaModel {
     /// Estimates the area of a design implementing `plan` for `kernel`.
+    ///
+    /// This builds the kernel's data-flow graph afresh to count its operators;
+    /// [`AreaModel::estimate_compiled`] takes it from a shared context.
     pub fn estimate(
         &self,
         kernel: &Kernel,
         plan: &ReplacementPlan,
         device: &DeviceModel,
     ) -> AreaEstimate {
-        let dfg = DataFlowGraph::from_kernel(kernel);
+        self.estimate_on(kernel, &DataFlowGraph::from_kernel(kernel), plan, device)
+    }
 
+    /// [`AreaModel::estimate`] with the operators counted on the context's
+    /// memoized data-flow graph.
+    pub fn estimate_compiled(
+        &self,
+        kernel: &CompiledKernel,
+        plan: &ReplacementPlan,
+        device: &DeviceModel,
+    ) -> AreaEstimate {
+        self.estimate_on(kernel.kernel(), kernel.dfg(), plan, device)
+    }
+
+    fn estimate_on(
+        &self,
+        kernel: &Kernel,
+        dfg: &DataFlowGraph,
+        plan: &ReplacementPlan,
+        device: &DeviceModel,
+    ) -> AreaEstimate {
         // Datapath operators: one instance per DFG operation (spatial implementation).
         let mut operator_slices = 0.0f64;
         for node in dfg.nodes() {

@@ -1,8 +1,8 @@
 //! Whole-design evaluation: cycles, clock, wall-clock time and area for one allocation.
 
 use serde::{Deserialize, Serialize};
-use srra_core::{memory_cost, MemoryCostModel, RegisterAllocation, ReplacementPlan};
-use srra_dfg::{DataFlowGraph, LatencyModel, Storage, StorageMap};
+use srra_core::{CompiledKernel, MemoryCostModel, RegisterAllocation};
+use srra_dfg::{LatencyModel, Storage, StorageMap};
 use srra_ir::Kernel;
 use srra_reuse::ReuseAnalysis;
 
@@ -90,6 +90,11 @@ impl HardwareDesign {
     /// resource-constrained list scheduler with every reference register-resident, and
     /// the memory cycles come from the `srra-core` cost model (which accounts for
     /// partial replacement and concurrent access to distinct RAM blocks).
+    ///
+    /// This builds a throwaway [`CompiledKernel`] around `kernel` and `analysis`,
+    /// so every call re-derives the kernel's data-flow graph and memory stages.
+    /// Evaluating several allocations of one kernel should go through
+    /// [`HardwareDesign::evaluate_compiled`] on a shared context.
     pub fn evaluate(
         kernel: &Kernel,
         analysis: &ReuseAnalysis,
@@ -97,23 +102,35 @@ impl HardwareDesign {
         device: &DeviceModel,
         options: &EvaluationOptions,
     ) -> Self {
-        let plan = ReplacementPlan::new(kernel, analysis, allocation);
-        let dfg = DataFlowGraph::from_kernel(kernel);
+        let context = CompiledKernel::with_analysis(kernel.clone(), analysis.clone());
+        Self::evaluate_compiled(&context, allocation, device, options)
+    }
+
+    /// [`HardwareDesign::evaluate`] against a shared [`CompiledKernel`]
+    /// context: the data-flow graph, the reference table and the memory stages
+    /// come from the context's memoized slots instead of being rebuilt.
+    pub fn evaluate_compiled(
+        kernel: &CompiledKernel,
+        allocation: &RegisterAllocation,
+        device: &DeviceModel,
+        options: &EvaluationOptions,
+    ) -> Self {
+        let plan = kernel.replacement_plan(allocation);
 
         // Datapath skeleton: the schedule of one iteration when every operand is
         // already register-resident.
         let mut all_registers = StorageMap::all_ram();
-        for summary in analysis.iter() {
+        for summary in kernel.analysis().iter() {
             all_registers.set(summary.ref_id(), Storage::Register);
         }
         let scheduler = ListScheduler::new(options.limits.clone());
-        let datapath = scheduler.schedule(&dfg, &options.latency, &all_registers);
+        let datapath = scheduler.schedule(kernel.dfg(), &options.latency, &all_registers);
 
-        let iterations = kernel.nest().total_iterations();
+        let iterations = kernel.kernel().nest().total_iterations();
         let compute_cycles =
             iterations.saturating_mul(datapath.cycles() + options.loop_overhead_cycles);
 
-        let memory = memory_cost(kernel, analysis, allocation, &options.memory);
+        let memory = kernel.memory_cost(allocation, &options.memory);
         let transfer_cycles = (plan.total_prologue_loads() + plan.total_epilogue_stores())
             .saturating_mul(options.memory.ram_latency);
 
@@ -122,7 +139,7 @@ impl HardwareDesign {
         let clock_period_ns = options.clock.period_ns(&plan);
         let execution_time_us = total_cycles as f64 * clock_period_ns / 1_000.0;
 
-        let area: AreaEstimate = options.area.estimate(kernel, &plan, device);
+        let area: AreaEstimate = options.area.estimate_compiled(kernel, &plan, device);
 
         Self {
             kernel: kernel.name().to_owned(),

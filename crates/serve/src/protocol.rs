@@ -28,6 +28,7 @@
 
 use std::io::{Read, Write};
 
+use srra_core::MemoryCostModel;
 use srra_explore::codec::{
     render_named, BinReader, BinWriter, Decode, Encode, Fields, Head, JsonReader, JsonWriter,
     Reader, WireError, Writer,
@@ -522,13 +523,20 @@ impl Request {
         })
     }
 
-    /// The semantic rules both decoders enforce: non-empty batches, a legal
-    /// trace id, exactly one `series` mode and a positive `scan` limit.
+    /// The semantic rules both decoders enforce: non-empty batches, explore
+    /// points within [`MemoryCostModel::MAX_RAM_LATENCY`], a legal trace id,
+    /// exactly one `series` mode and a positive `scan` limit.
     ///
     /// # Errors
     ///
     /// A user-facing description of the broken rule.
     pub(crate) fn check(&self) -> Result<(), String> {
+        if let Request::Explore { points } | Request::MultiExplore { points } = self {
+            for point in points {
+                MemoryCostModel::check_ram_latency(point.ram_latency)
+                    .map_err(|err| format!("`{}` {err}", self.op().name()))?;
+            }
+        }
         let problem = match self {
             Request::MultiGet { canonicals } if canonicals.is_empty() => {
                 "needs at least one canonical"

@@ -7,7 +7,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use srra_core::{memory_cost, AllocatorRegistry, CompiledKernel, MemoryCostModel};
+use srra_core::{AllocatorRegistry, CompiledKernel, MemoryCostModel};
 use srra_ir::examples::paper_example;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -40,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nalgorithm  registers  distribution                          Tmem/outer");
     for allocator in AllocatorRegistry::global().iter() {
         let allocation = allocator.allocate(&kernel, 64)?;
-        let cost = memory_cost(kernel.kernel(), kernel.analysis(), &allocation, &model);
+        let cost = kernel.memory_cost(&allocation, &model);
         println!(
             "{:<10} {:>9}  {:<36} {:>10}",
             allocator.label(),

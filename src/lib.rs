@@ -11,7 +11,7 @@
 //! * [`srra_dfg`] — data-flow graph, critical graph and cut enumeration,
 //! * [`srra_core`] — the allocation strategies (FR-RA / PR-RA / CPA-RA and
 //!   more) behind the open [`srra_core::AllocatorRegistry`], plus the
-//!   [`srra_core::CompiledKernel`] memoized analysis context,
+//!   [`srra_core::CompiledKernel`] memoized per-kernel model context,
 //! * [`srra_fpga`] — the FPGA execution, clock and area models,
 //! * [`srra_kernels`] — the six evaluation kernels,
 //! * [`srra_explore`] — parallel design-space exploration, result caching and

@@ -2211,7 +2211,13 @@ mod tests {
         let over = (MemoryCostModel::MAX_RAM_LATENCY + 1).to_string();
         let cap = MemoryCostModel::MAX_RAM_LATENCY.to_string();
         for argv in [
-            vec!["explore", "--kernel", "fir", "--latencies", "2,65537"],
+            vec![
+                "explore",
+                "--kernel",
+                "fir",
+                "--latencies",
+                &format!("2,{over}"),
+            ],
             // The server address is never dialled: parsing fails first.
             vec![
                 "query",

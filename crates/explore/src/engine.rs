@@ -75,11 +75,11 @@ fn elapsed_us(started: Instant) -> u64 {
 ///
 /// The kernel's [`CompiledKernel`] context supplies the memoized reuse
 /// analysis, data-flow graph and memory stages, so evaluating many points of
-/// one kernel derives each once, on first use.  The point's RAM latency parameterises both the
-/// steady-state memory-cycle metric and the hardware evaluation, so
-/// `ram_latency = 2` reproduces `srra_bench::evaluate_kernel`'s numbers and
-/// `ram_latency = 1` reproduces the abstract `T_mem` metric of the Figure 2
-/// reproduction.
+/// one kernel derives each once, on first use.  The point's RAM latency
+/// parameterises both the steady-state memory-cycle metric and the hardware
+/// evaluation, so `ram_latency = 2` reproduces `srra_bench::evaluate_kernel`'s
+/// numbers and `ram_latency = 1` reproduces the abstract `T_mem` metric of the
+/// Figure 2 reproduction.
 pub fn evaluate_point(kernel: &CompiledKernel, point: &DesignPoint) -> PointRecord {
     evaluate_point_timed(kernel, point).0
 }

@@ -1,19 +1,22 @@
 //! RAM latencies above `MemoryCostModel::MAX_RAM_LATENCY` are refused before
-//! any evaluation, and at the cap every paper kernel's record still adds up.
+//! any evaluation (both codecs alike: `validation_parity.rs`), and at the cap
+//! every paper kernel's record still adds up.
 //!
 //! A latency near `u64::MAX` used to overflow the critical-path sums: a
 //! release build served a record whose total was below its compute cycles,
 //! and a debug build panicked.
 
-use srra_core::{AllocatorRegistry, MemoryCostModel};
+use srra_core::{AllocatorRegistry, MemoryCostModel, RamLatencyTooLarge};
 use srra_explore::{evaluate_point, DesignPoint};
 use srra_fpga::DeviceModel;
 use srra_kernels::compiled_paper_suite;
-use srra_serve::{decode_payload, encode_request_frame, QueryPoint, Request};
+use srra_serve::{QueryPoint, Request};
 
 const CAP: u64 = MemoryCostModel::MAX_RAM_LATENCY;
 
-fn explore_requests(ram_latency: u64) -> [Request; 2] {
+/// An `explore` and an `mexplore` whose second point has `ram_latency`, with
+/// their op names.
+fn explore_requests(ram_latency: u64) -> [(&'static str, Request); 2] {
     let points = vec![
         QueryPoint::new("fir", "cpa", 32),
         QueryPoint {
@@ -22,30 +25,23 @@ fn explore_requests(ram_latency: u64) -> [Request; 2] {
         },
     ];
     [
-        Request::Explore {
-            points: points.clone(),
-        },
-        Request::MultiExplore { points },
+        (
+            "explore",
+            Request::Explore {
+                points: points.clone(),
+            },
+        ),
+        ("mexplore", Request::MultiExplore { points }),
     ]
 }
 
 #[test]
-fn both_codecs_refuse_explore_points_past_the_latency_cap() {
+fn explore_points_past_the_latency_cap_are_refused_with_the_typed_error() {
     for latency in [CAP + 1, u64::MAX / 2, u64::MAX] {
-        for request in explore_requests(latency) {
-            let line = request.render();
-            let json = Request::parse(&line).expect_err("JSON accepted an over-cap latency");
-            assert!(
-                json.contains(&format!(
-                    "RAM latency {latency} exceeds the cap of {CAP} cycles"
-                )),
-                "{json}"
-            );
-            let mut frame = Vec::new();
-            encode_request_frame(&mut frame, None, &request).expect("encodes");
-            let binary = decode_payload::<Request>(&frame[5..])
-                .expect_err("binary accepted an over-cap latency");
-            assert!(binary.to_string().ends_with(&json), "{binary}");
+        for (op, request) in explore_requests(latency) {
+            let err = Request::parse(&request.render()).expect_err("over-cap latency accepted");
+            let cycles = latency;
+            assert_eq!(err, format!("`{op}` {}", RamLatencyTooLarge { cycles }));
         }
     }
 }
@@ -53,7 +49,7 @@ fn both_codecs_refuse_explore_points_past_the_latency_cap() {
 #[test]
 fn latencies_up_to_the_cap_are_accepted() {
     for latency in [0, 1, CAP] {
-        for request in explore_requests(latency) {
+        for (_, request) in explore_requests(latency) {
             assert_eq!(Request::parse(&request.render()), Ok(request));
         }
     }

@@ -2,16 +2,25 @@
 //! breaks one is rejected from its JSON line and from its binary frame, and
 //! the binary error carries the JSON message.
 
-use srra_serve::{decode_payload, encode_request_frame, Request};
+use srra_core::MemoryCostModel;
+use srra_serve::{decode_payload, encode_request_frame, QueryPoint, Request};
 
 /// One request per semantic rule, each breaking it.
 fn invalid_requests() -> Vec<Request> {
+    let over_cap = vec![QueryPoint {
+        ram_latency: MemoryCostModel::MAX_RAM_LATENCY + 1,
+        ..QueryPoint::new("fir", "cpa", 32)
+    }];
     vec![
         Request::MultiGet {
             canonicals: Vec::new(),
         },
         Request::Explore { points: Vec::new() },
         Request::MultiExplore { points: Vec::new() },
+        Request::Explore {
+            points: over_cap.clone(),
+        },
+        Request::MultiExplore { points: over_cap },
         Request::Put {
             records: Vec::new(),
         },

@@ -481,7 +481,9 @@ fn query_transcripts(dir: &Path, failures: &mut Vec<String>) {
 
 fn cluster_transcripts(dir: &Path, failures: &mut Vec<String>) {
     // Ring placement hashes each node's address, so the per-node lines are
-    // reproducible only on fixed addresses.
+    // reproducible only on fixed addresses.  Linux routes all of 127.0.0.0/8
+    // to the loopback device, so these need no setup and collide with
+    // nothing but another run of this test.
     let a = start_node(&dir.join("node-a"), "127.77.41.1:27841");
     let b = start_node(&dir.join("node-b"), "127.77.41.2:27841");
     let c = start_node(&dir.join("node-c"), "127.77.41.3:27841");

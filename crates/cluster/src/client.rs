@@ -280,12 +280,7 @@ impl Node {
             )));
         }
         if self.connection.is_none() {
-            let dialled = if self.binary {
-                Connection::connect_binary_with_timeout(&self.addr, self.timeout)
-            } else {
-                Connection::connect_with_timeout(&self.addr, self.timeout)
-            };
-            match dialled {
+            match Connection::dial(&self.addr, self.binary, self.timeout) {
                 Ok(mut connection) => {
                     connection
                         .set_trace(self.trace.as_deref())

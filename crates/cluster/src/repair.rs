@@ -242,12 +242,8 @@ impl ClusterClient {
                         let connection = match &mut targets[owner] {
                             Some(connection) => connection,
                             slot @ None => {
-                                let dialled = if self.binary {
-                                    Connection::connect_binary_with_timeout(addr, self.timeout)
-                                } else {
-                                    Connection::connect_with_timeout(addr, self.timeout)
-                                }
-                                .map_err(|err| node_err(addr, err))?;
+                                let dialled = Connection::dial(addr, self.binary, self.timeout)
+                                    .map_err(|err| node_err(addr, err))?;
                                 slot.insert(dialled)
                             }
                         };

@@ -193,23 +193,7 @@ impl Connection {
     ///
     /// Connection failures and unresolvable addresses.
     pub fn connect(addr: &str) -> Result<Self, ClientError> {
-        Self::connect_with_codec(addr, false, None)
-    }
-
-    /// Like [`connect`](Connection::connect), with an I/O deadline: the
-    /// connect, every read and every write time out after `timeout`, so a
-    /// hung or partitioned server costs at most the deadline instead of
-    /// blocking forever.  `None` disables the deadline.
-    ///
-    /// # Errors
-    ///
-    /// Connection failures (including a connect timeout) and unresolvable
-    /// addresses.
-    pub fn connect_with_timeout(
-        addr: &str,
-        timeout: Option<Duration>,
-    ) -> Result<Self, ClientError> {
-        Self::connect_with_codec(addr, false, timeout)
+        Self::dial(addr, false, None)
     }
 
     /// Like [`connect`](Connection::connect), but the connection speaks the
@@ -221,27 +205,20 @@ impl Connection {
     ///
     /// Connection failures and unresolvable addresses.
     pub fn connect_binary(addr: &str) -> Result<Self, ClientError> {
-        Self::connect_with_codec(addr, true, None)
+        Self::dial(addr, true, None)
     }
 
-    /// The binary twin of [`connect_with_timeout`](Self::connect_with_timeout).
+    /// Connects to `addr` speaking the binary codec when `binary` is set
+    /// (JSON lines otherwise), with an I/O deadline: the connect, every read
+    /// and every write time out after `timeout`, so a hung or partitioned
+    /// server costs at most the deadline instead of blocking forever.
+    /// `None` disables the deadline.
     ///
     /// # Errors
     ///
     /// Connection failures (including a connect timeout) and unresolvable
     /// addresses.
-    pub fn connect_binary_with_timeout(
-        addr: &str,
-        timeout: Option<Duration>,
-    ) -> Result<Self, ClientError> {
-        Self::connect_with_codec(addr, true, timeout)
-    }
-
-    fn connect_with_codec(
-        addr: &str,
-        binary: bool,
-        timeout: Option<Duration>,
-    ) -> Result<Self, ClientError> {
+    pub fn dial(addr: &str, binary: bool, timeout: Option<Duration>) -> Result<Self, ClientError> {
         let (reader, writer) = open_stream(addr, timeout)?;
         Ok(Self {
             addr: addr.to_owned(),

@@ -9,9 +9,8 @@
 //!   wall-clock time, slices and BlockRAMs ([`table1()`]), plus the aggregate
 //!   improvement percentages quoted in the text ([`Table1Summary`]).
 //!
-//! The binaries `table1`, `figure2` and `sweep` print these reproductions; the Criterion
-//! benches under `benches/` measure the allocator runtimes and run the ablation
-//! studies (cut-selection policy, register budget, RAM latency).
+//! The binaries `table1`, `figure2` and `sweep` print these reproductions; the
+//! repository benchmark under `perfbench/` times the pipeline layer by layer.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

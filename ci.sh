@@ -324,6 +324,12 @@ grep -q '"total_evaluated":36' "$SMOKE_DIR/cluster-stats.out" \
   > "$SMOKE_DIR/cluster-mget-binary.out"
 cmp -s "$SMOKE_DIR/cluster-mget.out" "$SMOKE_DIR/cluster-mget-binary.out" \
   || { echo "cluster smoke: binary mget output differs"; exit 1; }
+# Connection flags may appear anywhere on the line: `--binary` after the op
+# prints the same bytes as before it.
+"$SRRA" cluster --nodes "$NODES" mget $CLUSTER_AXES --binary \
+  > "$SMOKE_DIR/cluster-mget-binary-after.out"
+cmp -s "$SMOKE_DIR/cluster-mget-binary.out" "$SMOKE_DIR/cluster-mget-binary-after.out" \
+  || { echo "cluster smoke: --binary after the op differs"; exit 1; }
 # Cluster-wide metrics scrape: both nodes answer, and the merged snapshot
 # carries the routed traffic (36 evaluations summed across the nodes).
 "$SRRA" cluster --nodes "$NODES" metrics > "$SMOKE_DIR/cluster-metrics.out"

@@ -8,18 +8,23 @@ use crate::args::{get_canonical, names, top_flags, Args, Axes, ConnectionFlags};
 use crate::render::{render_trace_output, run_top};
 use crate::{failed, CliError};
 
-/// Opens one per-node JSON line: `{"addr":"<node>"`, the address escaped.
-fn node_line(addr: &str) -> String {
-    let mut line = String::from("{\"addr\":");
-    render_string(&mut line, addr);
-    line
+/// One flat JSON line per node, `{"addr":"<node>",<fields>}`, the address
+/// escaped (it is whatever the user passed to `--nodes`).
+fn node_lines<'a>(nodes: impl IntoIterator<Item = (&'a str, String)>) -> String {
+    let mut out = String::new();
+    for (addr, fields) in nodes {
+        out.push_str("{\"addr\":");
+        render_string(&mut out, addr);
+        out.push_str(&format!(",{fields}}}\n"));
+    }
+    out
 }
 
-/// Renders one cluster stats node entry as a flat JSON line, greppable by
-/// scripts (`ci.sh` asserts every node saw traffic through these lines).
-fn render_node_stats_line(node: &NodeStats) -> String {
-    let mut line = node_line(&node.addr);
-    line.push_str(&format!(",\"up\":{},\"routed\":{}", node.up, node.routed));
+/// Renders one cluster stats node entry as the address and fields of its
+/// flat JSON line, greppable by scripts (`ci.sh` asserts every node saw
+/// traffic through these lines).
+fn render_node_stats_line(node: &NodeStats) -> (&str, String) {
+    let mut line = format!("\"up\":{},\"routed\":{}", node.up, node.routed);
     if let Some(stats) = &node.stats {
         line.push_str(&format!(
             ",\"requests\":{},\"hits\":{},\"misses\":{},\"evaluated\":{},\"records\":{}",
@@ -30,8 +35,7 @@ fn render_node_stats_line(node: &NodeStats) -> String {
             stats.records()
         ));
     }
-    line.push('}');
-    line
+    (&node.addr, line)
 }
 
 pub(crate) fn cmd_cluster(args: &[String]) -> Result<String, CliError> {
@@ -100,11 +104,7 @@ pub(crate) fn cmd_cluster(args: &[String]) -> Result<String, CliError> {
         }
         [op] if op == "stats" => {
             let stats = cluster.stats();
-            let mut out = String::new();
-            for node in &stats.nodes {
-                out.push_str(&render_node_stats_line(node));
-                out.push('\n');
-            }
+            let mut out = node_lines(stats.nodes.iter().map(render_node_stats_line));
             out.push_str(&format!(
                 "{{\"nodes_up\":{},\"replicas\":{},\"total_requests\":{},\"total_evaluated\":{},\"total_records\":{}}}",
                 stats.nodes_up(),
@@ -116,22 +116,15 @@ pub(crate) fn cmd_cluster(args: &[String]) -> Result<String, CliError> {
             Ok(out)
         }
         [op] if op == "ping" => {
-            let mut out = String::new();
-            for (addr, up) in cluster.ping_all() {
-                out.push_str(&format!("{},\"up\":{up}}}\n", node_line(&addr)));
-            }
-            Ok(out.trim_end().to_owned())
+            let pings = cluster.ping_all();
+            let lines = pings.iter().map(|(addr, up)| (addr.as_str(), format!("\"up\":{up}")));
+            Ok(node_lines(lines).trim_end().to_owned())
         }
         [op] if op == "metrics" => {
             let metrics = cluster.metrics();
-            let mut out = String::new();
-            for (addr, snapshot) in &metrics.nodes {
-                out.push_str(&format!(
-                    "{},\"scraped\":{}}}\n",
-                    node_line(addr),
-                    snapshot.is_some()
-                ));
-            }
+            let mut out = node_lines(metrics.nodes.iter().map(|(addr, snapshot)| {
+                (addr.as_str(), format!("\"scraped\":{}", snapshot.is_some()))
+            }));
             // One merged line: every reachable node's telemetry plus this
             // process's own client_*/cluster_* instruments.
             let mut combined = metrics.aggregate.clone();
@@ -141,15 +134,10 @@ pub(crate) fn cmd_cluster(args: &[String]) -> Result<String, CliError> {
         }
         [op, id] if op == "trace" => {
             let scraped = cluster.trace(id);
-            let mut out = String::new();
-            for (addr, spans) in &scraped.nodes {
-                out.push_str(&format!(
-                    "{},\"scraped\":{},\"spans\":{}}}\n",
-                    node_line(addr),
-                    spans.is_some(),
-                    spans.as_ref().map_or(0, Vec::len)
-                ));
-            }
+            let mut out = node_lines(scraped.nodes.iter().map(|(addr, spans)| {
+                let count = spans.as_ref().map_or(0, Vec::len);
+                (addr.as_str(), format!("\"scraped\":{},\"spans\":{count}", spans.is_some()))
+            }));
             out.push_str(&render_trace_output(id, &scraped.merged));
             Ok(out)
         }

@@ -20,12 +20,8 @@ pub(crate) fn cmd_query(args: &[String]) -> Result<String, CliError> {
         [flag, addr, rest @ ..] if flag == "--addr" => (addr.as_str(), rest),
         _ => return Err(CliError::with_usage("query needs --addr <host:port>")),
     };
-    if let [op] = rest {
-        if op == "pipe" {
-            return cmd_query_pipe(connect(addr)?, std::io::stdin().lock());
-        }
-    }
     let request = match rest {
+        [op] if op == "pipe" => return cmd_query_pipe(connect(addr)?, std::io::stdin().lock()),
         [op, kernel, algo, budget, opts @ ..] if op == "get" => Request::Get {
             canonical: get_canonical(kernel, algo, budget, opts)?,
         },

@@ -7,12 +7,19 @@
 
 use std::collections::HashMap;
 use std::path::PathBuf;
+use std::sync::{Mutex, PoisonError};
 
 use srra_core::AllocatorRegistry;
 use srra_explore::{evaluate_point, DesignPoint, PointRecord};
 use srra_fpga::DeviceModel;
 use srra_kernels::paper_suite;
 use srra_serve::{Client, Connection, QueryPoint, Server, ServerConfig};
+
+/// Held by every test of this file: the exactly-once check reads the
+/// process-wide analysis counter, which a server running alongside in
+/// another test would move too.  It guards no data, so a poisoned lock is
+/// taken as is.
+static ANALYSIS_COUNTER: Mutex<()> = Mutex::new(());
 
 fn scratch_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("srra-serve-conc-{tag}-{}", std::process::id()));
@@ -63,6 +70,9 @@ fn ground_truth(points: &[QueryPoint]) -> HashMap<String, PointRecord> {
 
 #[test]
 fn concurrent_mixed_workload_is_correct_and_evaluates_each_miss_once() {
+    let _counter = ANALYSIS_COUNTER
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
     const CLIENTS: usize = 6;
 
     let dir = scratch_dir("mixed");
@@ -196,6 +206,9 @@ fn concurrent_mixed_workload_is_correct_and_evaluates_each_miss_once() {
 
 #[test]
 fn get_round_trip_and_error_paths_over_the_wire() {
+    let _counter = ANALYSIS_COUNTER
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
     let dir = scratch_dir("get");
     let server = Server::bind(&ServerConfig::ephemeral(&dir)).expect("server binds");
     let addr = server.local_addr().to_string();

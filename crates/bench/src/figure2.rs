@@ -1,13 +1,12 @@
 //! Reproduction of Figure 2(c): the running example under the three allocators.
 
-use serde::{Deserialize, Serialize};
 use srra_core::{AllocatorRegistry, CompiledKernel};
 use srra_ir::examples::paper_example;
 
 use crate::evaluate_compiled;
 
 /// One allocator's row of the Figure 2(c) reproduction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Figure2Row {
     /// Algorithm label (`FR-RA`, `PR-RA`, `CPA-RA`).
     pub algorithm: String,

@@ -1,13 +1,12 @@
 //! Reproduction of Table 1: six kernels × three register-allocation versions.
 
-use serde::{Deserialize, Serialize};
 use srra_core::{AllocatorRegistry, CompiledKernel};
 use srra_kernels::{paper_suite, KernelSpec};
 
 use crate::evaluate_compiled;
 
 /// One row of the Table 1 reproduction (one kernel under one allocation algorithm).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table1Row {
     /// Kernel name (FIR, Dec-FIR, MAT, IMI, PAT, BIC).
     pub kernel: String,
@@ -42,7 +41,7 @@ pub struct Table1Row {
 }
 
 /// Aggregate figures corresponding to the percentages quoted in the paper's section 5.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Table1Summary {
     /// Average cycle-count reduction of the `v2` (PR-RA) designs over `v1`, in percent.
     pub avg_cycle_gain_v2_pct: f64,

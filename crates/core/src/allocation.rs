@@ -1,4 +1,3 @@
-use serde::{Deserialize, Serialize};
 use srra_dfg::{Storage, StorageMap};
 use srra_ir::RefId;
 use srra_reuse::{ReuseAnalysis, ReuseSummary};
@@ -11,7 +10,7 @@ use crate::registry::AllocatorRef;
 /// strategies; each variant maps to a [`crate::AllocatorRegistry`] entry via
 /// `AllocatorRef::from(kind)`.  New strategies are registry entries only and
 /// have no variant here.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum AllocatorKind {
     /// The untransformed code: every access goes to a RAM block.
@@ -79,7 +78,7 @@ impl std::fmt::Display for AllocatorKind {
 }
 
 /// How a reference's accesses are implemented after allocation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ReplacementMode {
     /// The reference keeps going to its RAM block; any register it holds is only the
     /// staging register needed to feed the datapath.
@@ -105,7 +104,7 @@ impl ReplacementMode {
 }
 
 /// The allocation decision for a single reference group.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RefAllocation {
     ref_id: RefId,
     array_name: String,
@@ -170,7 +169,7 @@ impl RefAllocation {
 }
 
 /// A complete register allocation for one kernel: the `β_i` vector of the paper.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RegisterAllocation {
     kernel_name: String,
     algorithm: AllocatorRef,

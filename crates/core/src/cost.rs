@@ -27,7 +27,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use srra_dfg::{CriticalPathAnalysis, DataFlowGraph, LatencyModel, StorageMap};
 use srra_ir::{ArrayId, Kernel, RefId};
 use srra_reuse::{remaining_accesses, ReuseAnalysis};
@@ -36,7 +35,7 @@ use crate::allocation::{RegisterAllocation, ReplacementMode};
 use crate::context::CompiledKernel;
 
 /// Parameters of the memory cost model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MemoryCostModel {
     /// Latency of one RAM-block access in cycles.
     pub ram_latency: u64,
@@ -180,7 +179,7 @@ fn runs<T, K: PartialEq>(items: &[T], key: impl Fn(&T) -> K) -> impl Iterator<It
 }
 
 /// Cost contribution of one memory stage of the loop body.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StageCost {
     /// References participating in the stage, grouped by array.
     pub references: Vec<RefId>,
@@ -200,7 +199,7 @@ impl StageCost {
 }
 
 /// The result of costing an allocation with [`memory_cost`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MemoryCostReport {
     /// Total memory cycles over the whole loop execution (`T_mem`).
     pub memory_cycles: u64,
@@ -376,12 +375,17 @@ mod tests {
 
     #[test]
     fn cpa_never_loses_to_the_greedy_variants() {
-        for budget in [8, 16, 32, 64, 128] {
+        for budget in [8, 16, 32, 64, 128, 700] {
             let fr = report(AllocatorKind::FullReuse, budget).memory_cycles;
             let pr = report(AllocatorKind::PartialReuse, budget).memory_cycles;
             let cpa = report(AllocatorKind::CriticalPathAware, budget).memory_cycles;
             assert!(pr <= fr, "budget {budget}: PR {pr} vs FR {fr}");
             assert!(cpa <= pr, "budget {budget}: CPA {cpa} vs PR {pr}");
+            if budget == 700 {
+                // Enough registers to replace every reference with reuse: the
+                // three designs meet.
+                assert_eq!(fr, cpa, "budget {budget}: FR {fr} vs CPA {cpa}");
+            }
         }
     }
 

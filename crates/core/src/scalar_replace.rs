@@ -14,7 +14,6 @@
 //! `srra-fpga` consumes these numbers to account for peeled iterations, register area
 //! and RAM traffic without simulating the transformed source text.
 
-use serde::{Deserialize, Serialize};
 use srra_ir::{Kernel, RefId, ReferenceTable};
 use srra_reuse::ReuseAnalysis;
 
@@ -23,7 +22,7 @@ use crate::context::CompiledKernel;
 use crate::cost::miss_fraction;
 
 /// Per-reference slice of a [`ReplacementPlan`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RefPlan {
     /// The reference group.
     pub ref_id: RefId,
@@ -56,7 +55,7 @@ impl RefPlan {
 }
 
 /// A complete scalar-replacement plan for one kernel and allocation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReplacementPlan {
     kernel_name: String,
     refs: Vec<RefPlan>,

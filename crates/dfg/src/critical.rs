@@ -1,7 +1,5 @@
 //! Longest-path (critical-path) analysis and the Critical Graph.
 
-use serde::{Deserialize, Serialize};
-
 use crate::graph::{DataFlowGraph, NodeId};
 use crate::latency::{LatencyModel, StorageMap};
 
@@ -10,7 +8,7 @@ use crate::latency::{LatencyModel, StorageMap};
 ///
 /// The paper calls this the *Critical Graph* (CG); CPA-RA allocates registers to cuts
 /// of this graph so that every register spent shortens **all** critical paths at once.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CriticalGraph {
     nodes: Vec<NodeId>,
     edges: Vec<(NodeId, NodeId)>,
@@ -71,7 +69,7 @@ impl CriticalGraph {
 /// The *length* of a path is the sum of the latencies of its nodes, exactly the
 /// `lat(p) = Σ lat(n)` definition of the paper, and the execution time `T_comp` of the
 /// DFG is the maximum path length.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CriticalPathAnalysis {
     latencies: Vec<u64>,
     longest_to: Vec<u64>,

@@ -1,10 +1,7 @@
-use serde::{Deserialize, Serialize};
 use srra_ir::{AccessKind, ArrayId, BinOp, RefId, UnOp};
 
 /// Identifier of a node within a [`DataFlowGraph`].
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct NodeId(usize);
 
 impl NodeId {
@@ -26,7 +23,7 @@ impl std::fmt::Display for NodeId {
 }
 
 /// The kind of a data-flow-graph node.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum NodeKind {
     /// A memory reference (array element transfer).  The node's latency depends on
     /// whether the reference group is bound to registers or to a RAM block.
@@ -73,7 +70,7 @@ impl NodeKind {
 }
 
 /// A node of the data-flow graph.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Node {
     id: NodeId,
     kind: NodeKind,
@@ -113,7 +110,7 @@ impl Node {
 /// means `v` consumes the value produced by `u`.  The graph is a DAG by construction
 /// (expressions are trees and cross-statement edges always point forward in program
 /// order).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct DataFlowGraph {
     nodes: Vec<Node>,
     succs: Vec<Vec<NodeId>>,

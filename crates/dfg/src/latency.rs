@@ -1,12 +1,11 @@
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
 use srra_ir::{BinOp, RefId, UnOp};
 
 use crate::graph::{Node, NodeKind};
 
 /// Where the elements of a reference group live during execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Storage {
     /// The elements are held in discrete registers: accesses cost
     /// [`LatencyModel::register_latency`] cycles.
@@ -20,7 +19,7 @@ pub enum Storage {
 ///
 /// The default ([`StorageMap::all_ram`]) keeps every reference in RAM, which is the
 /// state of the computation before any register allocation.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct StorageMap {
     placements: HashMap<RefId, Storage>,
 }
@@ -71,7 +70,7 @@ impl StorageMap {
 /// the datapath) and a RAM-block access costs one cycle.  The FPGA model in `srra-fpga`
 /// uses the same table for its scheduler, with a configurable RAM latency to explore
 /// the paper's "latency of a single access" concurrency argument.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LatencyModel {
     add_like: u64,
     mul: u64,

@@ -1,7 +1,7 @@
 //! The workspace's one codec: every value type's JSON and binary encodings,
 //! and the field layer that builds records and wire messages out of them.
 //!
-//! The workspace's `serde` is an offline no-op shim, so the codec is
+//! The build is offline and has no `serde`, so the codec is
 //! hand-rolled behind one trait pair, used for both storage and the wire:
 //! [`Encode`] writes a value and [`Decode`] reads it back, each in both
 //! codecs.  Structs made only of fields implement [`Fields`]

@@ -77,7 +77,7 @@ fn elapsed_us(started: Instant) -> u64 {
 /// analysis, data-flow graph and memory stages, so evaluating many points of
 /// one kernel derives each once, on first use.  The point's RAM latency
 /// parameterises both the steady-state memory-cycle metric and the hardware
-/// evaluation, so `ram_latency = 2` reproduces `srra_bench::evaluate_kernel`'s
+/// evaluation, so `ram_latency = 2` reproduces `srra_bench::evaluate_compiled`'s
 /// numbers and `ram_latency = 1` reproduces the abstract `T_mem` metric of the
 /// Figure 2 reproduction.
 pub fn evaluate_point(kernel: &CompiledKernel, point: &DesignPoint) -> PointRecord {
@@ -377,7 +377,7 @@ mod tests {
             .iter()
             .find(|r| r.algorithm == "CPA-RA")
             .unwrap();
-        // Same numbers as srra_bench::evaluate_kernel (RAM latency 2 default).
+        // Same numbers as srra_bench::evaluate_compiled (RAM latency 2 default).
         let kernel = paper_example();
         let analysis = ReuseAnalysis::of(&kernel);
         let allocation =

@@ -1,7 +1,7 @@
 //! The workspace's one JSON reader/writer, shared by the record cache lines
 //! and the serve layer's wire protocol.
 //!
-//! The workspace's `serde` is an offline no-op shim, so this small recursive
+//! The build is offline and has no `serde`, so this small recursive
 //! value type stands in for it.  Numbers are kept as their raw source text:
 //! the parser never converts to `f64` and back, so re-rendering a parsed
 //! value reproduces the original digits exactly, and the JSON half of

@@ -2,7 +2,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
 use srra_core::{CompiledKernel, ReplacementPlan};
 use srra_dfg::{DataFlowGraph, NodeKind};
 use srra_ir::{BinOp, Kernel};
@@ -10,7 +9,7 @@ use srra_ir::{BinOp, Kernel};
 use crate::device::DeviceModel;
 
 /// Estimated resource usage of a design.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AreaEstimate {
     /// Logic slices occupied.
     pub slices: u64,
@@ -38,7 +37,7 @@ impl AreaEstimate {
 /// width), the scalar-replacement register file (one slice per two flip-flops, plus
 /// multiplexing for rotation), the loop control and the RAM address generators.
 /// BlockRAMs are charged for every array that still has RAM-resident data.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AreaModel {
     /// Slices for the loop controller and iteration counters.
     pub control_slices: u64,

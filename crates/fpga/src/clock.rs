@@ -7,7 +7,6 @@
 //! that effect with an explicit linear formula so the wall-clock comparison of the
 //! Table 1 reproduction exercises the same trade-off.
 
-use serde::{Deserialize, Serialize};
 use srra_core::{ReplacementMode, ReplacementPlan};
 
 /// Linear clock-period estimator.
@@ -16,7 +15,7 @@ use srra_core::{ReplacementMode, ReplacementPlan};
 /// nanoseconds.  The default coefficients are calibrated so that a 32-register design
 /// with a couple of partially replaced references degrades the clock by a few percent,
 /// matching the order of magnitude reported in the paper.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClockModel {
     /// Achievable period of the bare datapath in nanoseconds.
     pub base_period_ns: f64,

@@ -1,6 +1,5 @@
 //! Whole-design evaluation: cycles, clock, wall-clock time and area for one allocation.
 
-use serde::{Deserialize, Serialize};
 use srra_core::{CompiledKernel, MemoryCostModel, RegisterAllocation};
 use srra_dfg::{LatencyModel, Storage, StorageMap};
 use srra_ir::Kernel;
@@ -47,7 +46,7 @@ impl Default for EvaluationOptions {
 }
 
 /// A fully evaluated hardware design point, the unit of comparison in Table 1.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HardwareDesign {
     /// Name of the kernel.
     pub kernel: String,

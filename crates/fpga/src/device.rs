@@ -1,11 +1,9 @@
-use serde::{Deserialize, Serialize};
-
 /// Resource envelope of a target FPGA part.
 ///
 /// Only the resources the paper reports on are modelled: logic slices (each holding two
 /// 4-input LUTs and two flip-flops on a Virtex part), discrete registers (flip-flops)
 /// and BlockRAM memories with their capacity and port count.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceModel {
     name: String,
     slices: u64,

@@ -17,13 +17,12 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use serde::{Deserialize, Serialize};
 use srra_core::{RegisterAllocation, ReplacementMode};
 use srra_ir::{AccessKind, Kernel, RefId};
 use srra_reuse::ReuseAnalysis;
 
 /// Per-reference traffic counts observed during simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RefTraffic {
     /// Accesses served by the reference's registers.
     pub register_hits: u64,
@@ -45,7 +44,7 @@ impl RefTraffic {
 }
 
 /// The outcome of simulating one allocation over the whole iteration space.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimulationResult {
     /// Innermost iterations executed.
     pub iterations: u64,

@@ -2,7 +2,6 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
 use srra_dfg::{DataFlowGraph, LatencyModel, NodeId, NodeKind, Storage, StorageMap};
 use srra_ir::BinOp;
 
@@ -12,7 +11,7 @@ use srra_ir::BinOp;
 /// (a fully spatial implementation), so operator counts are unlimited by default; the
 /// binding of arrays to BlockRAMs, however, fixes the number of concurrent accesses per
 /// array to the RAM's port count.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResourceLimits {
     /// Concurrent accesses allowed per array per cycle (BlockRAM ports).
     pub ram_ports_per_array: u32,
@@ -41,7 +40,7 @@ enum Resource {
 }
 
 /// The schedule of one steady-state loop iteration.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IterationSchedule {
     start_times: Vec<u64>,
     finish_times: Vec<u64>,

@@ -1,8 +1,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::loop_nest::LoopId;
 
 /// An affine function of loop index variables: `c0 + c1*i1 + c2*i2 + ...`.
@@ -26,7 +24,7 @@ use crate::loop_nest::LoopId;
 /// assert!(e.uses_loop(LoopId::new(1)));
 /// assert!(!e.uses_loop(LoopId::new(2)));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct AffineExpr {
     /// Non-zero coefficients keyed by loop.
     terms: BTreeMap<LoopId, i64>,

@@ -1,12 +1,8 @@
-use serde::{Deserialize, Serialize};
-
 use crate::affine::AffineExpr;
 use crate::loop_nest::LoopId;
 
 /// Identifier of an array declared in a [`crate::Kernel`], by declaration order.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ArrayId(usize);
 
 impl ArrayId {
@@ -28,7 +24,7 @@ impl std::fmt::Display for ArrayId {
 }
 
 /// Whether a reference reads from or writes to memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessKind {
     /// The reference fetches a value from the array.
     Read,
@@ -62,7 +58,7 @@ impl std::fmt::Display for AccessKind {
 /// The element width in bits matters for the FPGA model: it determines how many
 /// BlockRAM bits and how many register bits (flip-flops) a scalar-replaced element
 /// occupies.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ArrayDecl {
     name: String,
     dims: Vec<u64>,
@@ -115,7 +111,7 @@ impl ArrayDecl {
 ///
 /// The subscripts are affine functions of the enclosing loop indices; this is the class
 /// of references the paper's data-reuse analysis handles.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ArrayRef {
     array: ArrayId,
     subscripts: Vec<AffineExpr>,

@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use crate::array::ArrayRef;
 use crate::loop_nest::LoopId;
 
@@ -7,7 +5,7 @@ use crate::loop_nest::LoopId;
 ///
 /// The set covers everything the six evaluation kernels need (arithmetic, comparison,
 /// min/max selection and bitwise operations for the binary-image-correlation kernel).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum BinOp {
     /// Integer addition.
@@ -121,7 +119,7 @@ impl std::fmt::Display for BinOp {
 }
 
 /// Unary operators appearing in loop-body expressions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum UnOp {
     /// Arithmetic negation.
@@ -155,7 +153,7 @@ impl std::fmt::Display for UnOp {
 /// [`crate::Statement`] targets.  Scalar operands are named temporaries that carry
 /// values between statements of the same iteration (for instance the value written to
 /// `d[i][k]` in the paper's example is also consumed by the second statement).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
     /// A read (or, rarely, the value produced by a write) of an array element.
     ArrayAccess(ArrayRef),

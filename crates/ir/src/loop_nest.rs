@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use crate::array::ArrayDecl;
 use crate::error::IrError;
 use crate::reference::ReferenceTable;
@@ -7,9 +5,7 @@ use crate::stmt::Statement;
 use crate::validate::validate_kernel;
 
 /// Identifier of a loop within a [`LoopNest`], by depth (0 = outermost).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct LoopId(usize);
 
 impl LoopId {
@@ -36,7 +32,7 @@ impl std::fmt::Display for LoopId {
 /// is the canonical form used by the paper's data-reuse analysis.  Non-unit strides in
 /// the original source (such as the decimation factor of the Dec-FIR kernel) are folded
 /// into the subscript coefficients instead.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Loop {
     name: String,
     trip_count: u64,
@@ -67,7 +63,7 @@ impl Loop {
 /// The body statements are executed, in order, once per iteration of the innermost
 /// loop.  This is exactly the program shape assumed by the paper (perfect nests with
 /// compile-time known bounds).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoopNest {
     loops: Vec<Loop>,
     body: Vec<Statement>,
@@ -173,7 +169,7 @@ impl LoopNest {
 /// A `Kernel` is the unit consumed by the analyses (`srra-reuse`, `srra-dfg`) and by the
 /// allocation algorithms in `srra-core`.  Construct one with [`Kernel::new`] or, more
 /// conveniently, with [`crate::KernelBuilder`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Kernel {
     name: String,
     arrays: Vec<ArrayDecl>,

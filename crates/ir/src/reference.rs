@@ -1,7 +1,5 @@
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::affine::AffineExpr;
 use crate::array::{AccessKind, ArrayId};
 use crate::loop_nest::Kernel;
@@ -13,9 +11,7 @@ use crate::loop_nest::Kernel;
 /// pattern form one group and receive one register budget `β`.  In the paper's Figure 1
 /// example, `d[i][k]` occurs both as the target of the first statement and as an operand
 /// of the second, yet it is a single reference with a single `β_d`.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct RefId(usize);
 
 impl RefId {
@@ -37,7 +33,7 @@ impl std::fmt::Display for RefId {
 }
 
 /// One textual occurrence of a reference group in the loop body.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Occurrence {
     /// Index of the statement in the body.
     pub statement: usize,
@@ -46,7 +42,7 @@ pub struct Occurrence {
 }
 
 /// A reference group: an array plus a subscript pattern, with all its occurrences.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RefInfo {
     id: RefId,
     array: ArrayId,
@@ -114,7 +110,7 @@ impl RefInfo {
 /// Build one with [`Kernel::reference_table`].  The table preserves insertion order, so
 /// [`RefId`]s are stable for a given kernel and the analyses downstream are
 /// deterministic.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ReferenceTable {
     refs: Vec<RefInfo>,
 }

@@ -1,10 +1,8 @@
-use serde::{Deserialize, Serialize};
-
 use crate::array::ArrayRef;
 use crate::expr::Expr;
 
 /// The destination of a statement's value.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum StoreTarget {
     /// Store into an array element (a memory write unless scalar-replaced).
     Array(ArrayRef),
@@ -36,7 +34,7 @@ impl StoreTarget {
 /// earlier statement may be consumed by a later one, and an array element written by an
 /// earlier statement may be read back by a later one (the `d[i][k]` flow in the paper's
 /// Figure 1 example).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Statement {
     target: StoreTarget,
     value: Expr,

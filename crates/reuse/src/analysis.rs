@@ -1,6 +1,5 @@
 //! Whole-kernel reuse analysis: one [`ReuseSummary`] per reference group.
 
-use serde::{Deserialize, Serialize};
 use srra_ir::{ArrayId, Kernel, LoopId, RefId, ReferenceTable};
 
 use crate::registers::{invariant_loops, registers_for_full_replacement, reuse_loop};
@@ -11,7 +10,7 @@ use crate::savings::AccessCounts;
 /// This bundles everything the allocation algorithms need to know about one array
 /// reference: its register requirement (`R`), its memory-access economics and its
 /// benefit/cost ratio `γ`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReuseSummary {
     ref_id: RefId,
     array: ArrayId,
@@ -109,7 +108,7 @@ impl ReuseSummary {
 /// assert_eq!(order.first().copied(), Some("c"));
 /// assert_eq!(order.last().copied(), Some("e"));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReuseAnalysis {
     kernel_name: String,
     summaries: Vec<ReuseSummary>,

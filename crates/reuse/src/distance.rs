@@ -14,14 +14,13 @@
 //! subscripts have identical linear parts and differ only by constants.  This is the
 //! classical Callahan–Carr–Kennedy setting and covers all six evaluation kernels.
 
-use serde::{Deserialize, Serialize};
 use srra_ir::{Kernel, LoopId, RefId, RefInfo};
 
 /// A constant iteration-space distance between two references of the same array.
 ///
 /// `distance[d]` is the number of iterations of the loop at depth `d` separating the
 /// two accesses of the same element; the source reference accesses the element first.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct DependenceDistance {
     distance: Vec<i64>,
 }
@@ -128,7 +127,7 @@ pub fn dependence_distance(
 
 /// A pair of reference groups of the same array that exhibit group (inter-reference)
 /// temporal reuse.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct GroupReusePair {
     /// The reference that accesses the shared element first (the "generator").
     pub source: RefId,

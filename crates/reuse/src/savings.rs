@@ -1,6 +1,5 @@
 //! Memory-access accounting for full scalar replacement of one reference.
 
-use serde::{Deserialize, Serialize};
 use srra_ir::{LoopNest, RefInfo};
 
 use crate::registers::{footprint, reuse_loop};
@@ -10,7 +9,7 @@ use crate::registers::{footprint, reuse_loop};
 ///
 /// These counts are the "value" side of the paper's knapsack formulation: the value of
 /// promoting a reference is the number of memory accesses the promotion eliminates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AccessCounts {
     /// Accesses performed with no scalar replacement: one per occurrence per innermost
     /// iteration.

@@ -35,99 +35,99 @@ pub fn usage() -> &'static str {
             .collect::<Vec<_>>()
             .join(" | ");
         format!(
-            "usage: srra <command> [args]\n\
-  kernels                        list built-in kernels\n\
-  analyze  <kernel>              print the data-reuse analysis\n\
-  allocate <kernel> <algo> <N>   allocate N registers (algo: {algos})\n\
-  dot      <kernel>              print the DFG + critical graph in Graphviz format\n\
-  figure2                        reproduce the paper's Figure 2(c)\n\
-  table1                         reproduce the paper's Table 1\n\
-  explore [options]              parallel design-space sweep with Pareto output\n\
-    --kernel  <k[,k...]|all>     kernels to sweep (default: all six paper kernels)\n\
-    --algos   <a[,a...]>         algorithms (default: fr,pr,cpa; available: {algos})\n\
-    --budgets <n[,n...]>         register budgets (default: 32)\n\
-    --latencies <n[,n...]>       RAM latencies in cycles (default: 2)\n\
-    --devices <d[,d...]>         xcv1000 and/or xcv300 (default: xcv1000)\n\
-    --jobs    <n>                worker threads (default: all CPUs)\n\
-    --cache   <path>             persistent single-file segment result cache\n\
-    --cache-dir <dir>            persistent *sharded* segment result cache\n\
-    --shards  <n>                shard count for --cache-dir (default 4)\n\
-    --csv                        emit every design point as CSV instead of tables\n\
-    --stats-json <path>          write cache statistics as JSON to a file\n\
-    (cache statistics go to stderr so stdout is identical across cached re-runs)\n\
-  migrate <file.jsonl>... (--cache <path> | --cache-dir <dir> [--shards <n>])\n\
-                                 copy JSON-lines caches of earlier versions into\n\
-                                 a segment cache; the source files are only read\n\
-  serve [options]                sharded result store + TCP query server\n\
-    --cache-dir <dir>            shard directory (required)\n\
-    --addr    <host:port>        bind address (default 127.0.0.1:0 = ephemeral port)\n\
-    --shards  <n>                shard files (default 4)\n\
-    --workers <n>                serving threads (default: all CPUs)\n\
-    --slow-query-us <n>          log requests slower than n µs to stderr (default: off)\n\
-    --report-interval <secs>     periodic stats report to stderr (default: off)\n\
-    --idle-timeout-secs <n>      reap client connections idle for n secs\n\
-                                 (default: off; counted by serve_idle_reaped_total)\n\
-    --sample-interval-ms <n>     metrics sampler: push one timestamped telemetry\n\
-                                 snapshot every n ms into the ring the `series`\n\
-                                 op answers from (default: off)\n\
-    --slo <rule>                 SLO rule evaluated every sampler tick; repeatable;\n\
-                                 e.g. 'serve_op_get_latency_us p99 < 500us over 60s'\n\
-                                 or 'serve_misses_total / serve_requests_total < 1%\n\
-                                 over 60s' (breaches count obs_slo_breaches_total)\n\
-  query --addr <host:port> [--binary] [--timeout-ms <n>] <op>\n\
-                                 queries against a running server; prints\n\
-                                 the raw JSON response line(s) (see docs/serving.md)\n\
-    --binary                     speak the length-prefixed binary wire codec\n\
-                                 instead of JSON lines (same output; the server\n\
-                                 auto-detects the codec per frame)\n\
-    --trace <id>                 stamp every request with a trace id: the server\n\
-                                 records a span tree for it, readable afterwards\n\
-                                 via `trace <id>` (see docs/observability.md)\n\
-    --timeout-ms <n>             I/O deadline on the dial and every read/write\n\
-                                 (default: none; 0 also means none)\n\
-    get <kernel> <algo> <N> [--latency <n>] [--device <d>]\n\
-    explore [axis flags as for explore]     (--batch uses one mexplore line)\n\
-    stats | shutdown\n\
-    metrics [--prom]             full telemetry snapshot (JSON, or Prometheus\n\
-                                 text exposition with --prom; see docs/observability.md)\n\
-    trace <id>                   span waterfall the server's flight recorder\n\
-                                 retains for a trace id\n\
-    series (--last <n> | --window-us <n>)\n\
-                                 raw time-series op: the last n sampler snapshots,\n\
-                                 or the counter/histogram delta over a trailing\n\
-                                 window (needs --sample-interval-ms on the server)\n\
-    top [--interval-ms <n>] [--once]\n\
-                                 refreshing req/s + hit% + p50/p99 dashboard over\n\
-                                 the `series` op (default interval 2000 ms;\n\
-                                 --once prints a single frame for scripts)\n\
-    pipe                         read raw request lines from stdin, pipeline\n\
-                                 them over ONE keep-alive connection, print\n\
-                                 the reply lines in request order\n\
-  cluster --nodes <a:p,b:p,...> [--replicas <R>] [--vnodes <V>] [--binary] <op>\n\
-                                 consistent-hash routed queries over several\n\
-                                 serve nodes (see docs/cluster.md); --binary\n\
-                                 uses the binary codec on every node connection\n\
-    get <kernel> <algo> <N> [--latency <n>] [--device <d>]\n\
-    mget [axis flags as for explore]        routed batched lookups\n\
-    explore [axis flags as for explore]     routed batched explore (+tee to\n\
-                                            replicas when --replicas > 1)\n\
-    stats                        one JSON line per node plus a totals line\n\
-    ping                         probe every node's liveness\n\
-    metrics                      scrape every node, print the merged telemetry\n\
-    trace <id>                   scrape every node's flight recorder, print the\n\
-                                 merged cluster-wide span waterfall\n\
-    repair                       anti-entropy pass: compare per-node digests and\n\
-                                 copy records to the replica owners lacking them\n\
-    rebalance --to <a:p,...>     move every record to its owners under a new\n\
-                                 node list (client-side add/remove of nodes)\n\
-    top [--interval-ms <n>] [--once]\n\
-                                 fleet dashboard over the `series` op: per-node\n\
-                                 and fleet-merged req/s, hit%, p50/p99, open\n\
-                                 connections, up/down and SLO state\n\
-    --trace <id>                 stamp every routed request with one trace id\n\
-                                 across all per-node sub-batches\n\
-    --timeout-ms <n>             per-node I/O deadline in ms (default 2000;\n\
-                                 0 disables — a hung node then blocks forever)\n\
+            "usage: srra <command> [args]
+  kernels                        list built-in kernels
+  analyze  <kernel>              print the data-reuse analysis
+  allocate <kernel> <algo> <N>   allocate N registers (algo: {algos})
+  dot      <kernel>              print the DFG + critical graph in Graphviz format
+  figure2                        reproduce the paper's Figure 2(c)
+  table1                         reproduce the paper's Table 1
+  explore [options]              parallel design-space sweep with Pareto output
+    --kernel  <k[,k...]|all>     kernels to sweep (default: all six paper kernels)
+    --algos   <a[,a...]>         algorithms (default: fr,pr,cpa; available: {algos})
+    --budgets <n[,n...]>         register budgets (default: 32)
+    --latencies <n[,n...]>       RAM latencies in cycles (default: 2)
+    --devices <d[,d...]>         xcv1000 and/or xcv300 (default: xcv1000)
+    --jobs    <n>                worker threads (default: all CPUs)
+    --cache   <path>             persistent single-file segment result cache
+    --cache-dir <dir>            persistent *sharded* segment result cache
+    --shards  <n>                shard count for --cache-dir (default 4)
+    --csv                        emit every design point as CSV instead of tables
+    --stats-json <path>          write cache statistics as JSON to a file
+    (cache statistics go to stderr so stdout is identical across cached re-runs)
+  migrate <file.jsonl>... (--cache <path> | --cache-dir <dir> [--shards <n>])
+                                 copy JSON-lines caches of earlier versions into
+                                 a segment cache; the source files are only read
+  serve [options]                sharded result store + TCP query server
+    --cache-dir <dir>            shard directory (required)
+    --addr    <host:port>        bind address (default 127.0.0.1:0 = ephemeral port)
+    --shards  <n>                shard files (default 4)
+    --workers <n>                serving threads (default: all CPUs)
+    --slow-query-us <n>          log requests slower than n µs to stderr (default: off)
+    --report-interval <secs>     periodic stats report to stderr (default: off)
+    --idle-timeout-secs <n>      reap client connections idle for n secs
+                                 (default: off; counted by serve_idle_reaped_total)
+    --sample-interval-ms <n>     metrics sampler: push one timestamped telemetry
+                                 snapshot every n ms into the ring the `series`
+                                 op answers from (default: off)
+    --slo <rule>                 SLO rule evaluated every sampler tick; repeatable;
+                                 e.g. 'serve_op_get_latency_us p99 < 500us over 60s'
+                                 or 'serve_misses_total / serve_requests_total < 1%
+                                 over 60s' (breaches count obs_slo_breaches_total)
+  query --addr <host:port> [--binary] [--timeout-ms <n>] <op>
+                                 queries against a running server; prints
+                                 the raw JSON response line(s) (see docs/serving.md)
+    --binary                     speak the length-prefixed binary wire codec
+                                 instead of JSON lines (same output; the server
+                                 auto-detects the codec per frame)
+    --trace <id>                 stamp every request with a trace id: the server
+                                 records a span tree for it, readable afterwards
+                                 via `trace <id>` (see docs/observability.md)
+    --timeout-ms <n>             I/O deadline on the dial and every read/write
+                                 (default: none; 0 also means none)
+    get <kernel> <algo> <N> [--latency <n>] [--device <d>]
+    explore [axis flags as for explore]     (--batch uses one mexplore line)
+    stats | shutdown
+    metrics [--prom]             full telemetry snapshot (JSON, or Prometheus
+                                 text exposition with --prom; see docs/observability.md)
+    trace <id>                   span waterfall the server's flight recorder
+                                 retains for a trace id
+    series (--last <n> | --window-us <n>)
+                                 raw time-series op: the last n sampler snapshots,
+                                 or the counter/histogram delta over a trailing
+                                 window (needs --sample-interval-ms on the server)
+    top [--interval-ms <n>] [--once]
+                                 refreshing req/s + hit% + p50/p99 dashboard over
+                                 the `series` op (default interval 2000 ms;
+                                 --once prints a single frame for scripts)
+    pipe                         read raw request lines from stdin, pipeline
+                                 them over ONE keep-alive connection, print
+                                 the reply lines in request order
+  cluster --nodes <a:p,b:p,...> [--replicas <R>] [--vnodes <V>] [--binary] <op>
+                                 consistent-hash routed queries over several
+                                 serve nodes (see docs/cluster.md); --binary
+                                 uses the binary codec on every node connection
+    get <kernel> <algo> <N> [--latency <n>] [--device <d>]
+    mget [axis flags as for explore]        routed batched lookups
+    explore [axis flags as for explore]     routed batched explore (+tee to
+                                            replicas when --replicas > 1)
+    stats                        one JSON line per node plus a totals line
+    ping                         probe every node's liveness
+    metrics                      scrape every node, print the merged telemetry
+    trace <id>                   scrape every node's flight recorder, print the
+                                 merged cluster-wide span waterfall
+    repair                       anti-entropy pass: compare per-node digests and
+                                 copy records to the replica owners lacking them
+    rebalance --to <a:p,...>     move every record to its owners under a new
+                                 node list (client-side add/remove of nodes)
+    top [--interval-ms <n>] [--once]
+                                 fleet dashboard over the `series` op: per-node
+                                 and fleet-merged req/s, hit%, p50/p99, open
+                                 connections, up/down and SLO state
+    --trace <id>                 stamp every routed request with one trace id
+                                 across all per-node sub-batches
+    --timeout-ms <n>             per-node I/O deadline in ms (default 2000;
+                                 0 disables — a hung node then blocks forever)
   help                           show this text"
         )
     })
@@ -200,6 +200,14 @@ pub(crate) mod tests {
         assert_eq!(run(&args(&[])).unwrap(), usage());
         assert_eq!(run(&args(&["help"])).unwrap(), usage());
         assert_eq!(run(&args(&["--help"])).unwrap(), usage());
+    }
+
+    #[test]
+    fn usage_keeps_its_indentation() {
+        // Commands sit two columns in, their sub-flags four.
+        assert!(usage().contains("\n  kernels "));
+        assert!(usage().contains("\n    --kernel  "));
+        assert!(usage().contains("\n  help "));
     }
 
     #[test]

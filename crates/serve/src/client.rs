@@ -73,6 +73,8 @@ pub enum ClientError {
     Protocol(String),
     /// The server answered with an error response.
     Server(String),
+    /// The caller passed an unusable argument; nothing was sent.
+    Invalid(String),
 }
 
 impl std::fmt::Display for ClientError {
@@ -81,6 +83,7 @@ impl std::fmt::Display for ClientError {
             ClientError::Io(err) => write!(f, "query I/O error: {err}"),
             ClientError::Protocol(message) => write!(f, "malformed server response: {message}"),
             ClientError::Server(message) => write!(f, "server error: {message}"),
+            ClientError::Invalid(message) => write!(f, "{message}"),
         }
     }
 }
@@ -263,7 +266,7 @@ impl Connection {
     /// characters outside `[A-Za-z0-9._-]`.
     pub fn set_trace(&mut self, trace: Option<&str>) -> Result<(), ClientError> {
         match trace {
-            Some(id) if !valid_trace_id(id) => Err(ClientError::Protocol(format!(
+            Some(id) if !valid_trace_id(id) => Err(ClientError::Invalid(format!(
                 "invalid trace id `{id}`: want 1-64 bytes of [A-Za-z0-9._-]"
             ))),
             Some(id) => {

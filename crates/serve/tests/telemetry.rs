@@ -61,9 +61,13 @@ fn traces_round_trip_and_metrics_expose_the_workload() {
     assert!(hit.is_some(), "evaluated above");
     assert_eq!(connection.last_trace(), None);
 
-    // Bad ids are rejected client-side, before any bytes move.
+    // Bad ids are rejected client-side, before any bytes move, as the
+    // caller's error rather than the server's.
     assert!(connection.set_trace(Some("")).is_err());
-    assert!(connection.set_trace(Some("has space")).is_err());
+    assert!(matches!(
+        connection.set_trace(Some("has space")),
+        Err(srra_serve::ClientError::Invalid(_))
+    ));
     assert!(connection.set_trace(Some(&"x".repeat(65))).is_err());
 
     // The structured metrics snapshot reflects the workload above.

@@ -1,6 +1,6 @@
 //! `srra query`: requests against one running server.
 
-use srra_serve::{Connection, Request};
+use srra_serve::{ClientError, Connection, Request, Response};
 
 use crate::args::{get_canonical, top_flags, Args, Axes, ConnectionFlags};
 use crate::render::{render_trace_output, run_top};
@@ -98,10 +98,14 @@ pub(crate) fn cmd_query(args: &[String]) -> Result<String, CliError> {
             )))
         }
     };
-    let response = connect(addr)?
+    // A refused request is an error, as for `metrics` and `trace` above.
+    match connect(addr)?
         .roundtrip(&request)
-        .map_err(failed("query"))?;
-    Ok(response.render())
+        .map_err(failed("query"))?
+    {
+        Response::Error { message } => Err(failed("query")(ClientError::Server(message))),
+        response => Ok(response.render()),
+    }
 }
 
 /// Pipelined requests in flight per window of `srra query pipe`, bounded by

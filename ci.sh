@@ -44,8 +44,10 @@ cd "$(dirname "$0")"
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo clippy --workspace --all-targets -- -D warnings"
-cargo clippy --workspace --all-targets -- -D warnings
+# --locked here and in the build and test steps: a root Cargo.lock that has
+# drifted from the manifests fails CI instead of being rewritten.
+echo "==> cargo clippy --locked --workspace --all-targets -- -D warnings"
+cargo clippy --locked --workspace --all-targets -- -D warnings
 
 # perfbench is a standalone package outside the workspace (see
 # perfbench/README.md), so the two steps above never see it.
@@ -58,13 +60,13 @@ cargo clippy --release --offline --manifest-path perfbench/Cargo.toml --all-targ
 echo '==> RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps'
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
-echo "==> cargo build --release --workspace"
+echo "==> cargo build --locked --release --workspace"
 # --workspace: a plain root build compiles only the facade package and never
 # produces target/release/srra, which the smoke tests below drive.
-cargo build --release --workspace
+cargo build --locked --release --workspace
 
-echo "==> cargo test -q"
-cargo test --workspace -q
+echo "==> cargo test --locked -q"
+cargo test --locked --workspace -q
 
 echo "==> perfbench smoke test"
 # perfbench is a standalone package outside the workspace (see

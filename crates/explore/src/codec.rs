@@ -1,10 +1,10 @@
 //! The workspace's one codec: every value type's JSON and binary encodings,
 //! and the field layer that builds records and wire messages out of them.
 //!
-//! The build is offline and has no `serde`, so the codec is
-//! hand-rolled behind one trait pair, used for both storage and the wire:
-//! [`Encode`] writes a value and [`Decode`] reads it back, each in both
-//! codecs.  Structs made only of fields implement [`Fields`]
+//! The build is offline and depends on no serialisation crate, so the
+//! codec is hand-rolled behind one trait pair, used for both storage and
+//! the wire: [`Encode`] writes a value and [`Decode`] reads it back, each in
+//! both codecs.  Structs made only of fields implement [`Fields`]
 //! instead and get both traits for free: they list their fields once,
 //! against a [`Writer`] and a [`Reader`].  The JSON pair ([`JsonWriter`] /
 //! [`JsonReader`]) maps a field to an object member by key; the binary pair

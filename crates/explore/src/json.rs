@@ -1,12 +1,12 @@
 //! The workspace's one JSON reader/writer, shared by the record cache lines
 //! and the serve layer's wire protocol.
 //!
-//! The build is offline and has no `serde`, so this small recursive
-//! value type stands in for it.  Numbers are kept as their raw source text:
-//! the parser never converts to `f64` and back, so re-rendering a parsed
-//! value reproduces the original digits exactly, and the JSON half of
-//! [`crate::codec`] reads the f64 fields of a record, standalone or
-//! embedded in a larger document, bit-exactly.
+//! The build is offline and depends on no JSON crate, so this small
+//! recursive value type stands in for one.  Numbers are kept as their raw
+//! source text: the parser never converts to `f64` and back, so
+//! re-rendering a parsed value reproduces the original digits exactly, and
+//! the JSON half of [`crate::codec`] reads the f64 fields of a record,
+//! standalone or embedded in a larger document, bit-exactly.
 
 use std::fmt::Write as _;
 
